@@ -78,21 +78,21 @@ type Subproblem struct {
 	inst *model.Instance
 	n    int
 	cfg  SubproblemConfig
-	// items enumerates the SBS's servable (u,f) pairs.
+	// items enumerates the SBS's servable (u,f) pairs, (u,f)-lexicographic.
 	items []item
-	// densityOrder lists item indices sorted by density descending (ties
-	// by index). The density ranking is static, so the routing knapsack
-	// for a fixed cache never needs a per-call sort.
-	densityOrder []int
+	// rowItems is the exact-routing oracle's fill order as a rows × F
+	// table: one row per linked MU with a gain-earning item, rows by
+	// density (d̂_u − d_nu) descending, ties by u ascending. Entry f is the
+	// item index of (u,f), or −1 where the pair is not an item or earns no
+	// gain. A density depends only on the MU, so walking rows × cached
+	// contents in ascending f visits the knapsack's eligible items in
+	// density order without a per-call sort and without touching uncached
+	// items.
+	rowItems []int
 	// stepScale is the resolved sub-gradient step scale.
 	stepScale float64
 	// ws is the reusable solve workspace.
 	ws solveWorkspace
-	// densitySorter is the reusable sort.Sort adapter for densityOrder;
-	// living in the struct keeps the one-time constructor sort — and any
-	// future re-sort — free of the per-call closure allocation that
-	// sort.Slice would cost.
-	densitySorter densitySorter
 	// memo is the dirty-set fast path: the epoch key of the tracker state
 	// ws.result was solved against (see memoHit).
 	memo solveMemo
@@ -171,8 +171,6 @@ type item struct {
 	// at the edge instead of the backhaul. The paper assumes d̂ ≫ d, so
 	// gains are typically positive.
 	gain float64
-	// density is gain per unit of bandwidth, (d̂_u − d_nu).
-	density float64
 }
 
 // solveWorkspace holds every buffer a Solve call touches. Sized once in
@@ -184,18 +182,16 @@ type solveWorkspace struct {
 	yDual    []float64 // routing iterate of the dual loop
 	score    []float64 // per-content multiplier mass (len F)
 	scoreIdx []int     // cachingStep sort buffer (cap F)
-	order    []int     // routingStep eligible-item buffer (cap #items)
-	ratio    []float64 // routingStep per-item cost ratio w/λ
+	heap     ratioHeap // routingStep eligible items and their ratios w/λ
 	xStep    []bool    // cachingStep output (len F)
 	greedyX  []bool    // greedyCache output (len F)
 	workX    []bool    // localSearch mutation buffer (len F)
-	yA, yB   []float64 // double-buffered routing evaluations
-	scratchY []float64 // gain-only routing evaluations
+	cached   []int     // routingGivenCacheInto cached contents (cap F)
+	yBest    []float64 // primal recovery's winning routing
 	pool     candidatePool
 	result   Result
 
 	scoreSorter scoreSorter
-	ratioSorter ratioSorter
 }
 
 // NewSubproblem builds the solver for SBS n.
@@ -209,6 +205,11 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 	cfg = cfg.withDefaults()
 	s := &Subproblem{inst: inst, n: n, cfg: cfg}
 	var maxDensity float64
+	type muRow struct {
+		density float64
+		items   []int
+	}
+	var rows []muRow
 	for u := 0; u < inst.U; u++ {
 		if !inst.Links[n][u] {
 			continue
@@ -217,17 +218,29 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		if density > maxDensity {
 			maxDensity = density
 		}
+		row := muRow{density: density, items: make([]int, inst.F)}
+		eligible := false
 		for f := 0; f < inst.F; f++ {
+			row.items[f] = -1
 			lambda := inst.Demand[u][f]
 			if lambda <= 0 {
 				continue
 			}
-			s.items = append(s.items, item{
-				u: u, f: f, lambda: lambda,
-				gain:    density * lambda,
-				density: density,
-			})
+			it := item{u: u, f: f, lambda: lambda, gain: density * lambda}
+			if it.gain > 0 {
+				row.items[f] = len(s.items)
+				eligible = true
+			}
+			s.items = append(s.items, it)
 		}
+		if eligible {
+			rows = append(rows, row)
+		}
+	}
+	// Stable on u ascending: equal densities keep item-index order.
+	sort.SliceStable(rows, func(a, b int) bool { return rows[a].density > rows[b].density })
+	for _, row := range rows {
+		s.rowItems = append(s.rowItems, row.items...)
 	}
 	s.stepScale = cfg.StepScale
 	if s.stepScale <= 0 {
@@ -241,12 +254,6 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		}
 	}
 
-	s.densityOrder = make([]int, len(s.items))
-	for i := range s.densityOrder {
-		s.densityOrder[i] = i
-	}
-	s.sortDensityOrder()
-
 	ni := len(s.items)
 	s.ws = solveWorkspace{
 		caps:     make([]float64, ni),
@@ -254,14 +261,12 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		yDual:    make([]float64, ni),
 		score:    make([]float64, inst.F),
 		scoreIdx: make([]int, 0, inst.F),
-		order:    make([]int, 0, ni),
-		ratio:    make([]float64, ni),
+		heap:     ratioHeap{idx: make([]int, 0, ni), ratio: make([]float64, ni)},
 		xStep:    make([]bool, inst.F),
 		greedyX:  make([]bool, inst.F),
 		workX:    make([]bool, inst.F),
-		yA:       make([]float64, ni),
-		yB:       make([]float64, ni),
-		scratchY: make([]float64, ni),
+		cached:   make([]int, 0, inst.F),
+		yBest:    make([]float64, ni),
 		result:   Result{Cache: make([]bool, inst.F), Routing: model.NewMat(inst.U, inst.F)},
 	}
 	s.ws.pool = newCandidatePool(cfg.MaxCandidates, inst.F)
@@ -422,28 +427,35 @@ func (s *Subproblem) cachingStep(score []float64) []bool {
 // routingStep solves eq. 20 in place: minimize Σ (w_i)·y_i with
 // w_i = −gain_i + μ_i, subject to Σ λ_i·y_i ≤ B_n and 0 ≤ y_i ≤ caps_i.
 // Only negative-coefficient items are worth serving; the optimal solution
-// of this LP fills them in increasing w/λ order (fractional knapsack).
+// of this LP fills them in increasing w/λ order (fractional knapsack). The
+// budget runs out after a handful of items, so the order is drawn lazily
+// from a min-heap instead of sorting every eligible item.
 func (s *Subproblem) routingStep(y, mu, caps []float64) {
-	ws := &s.ws
-	order := ws.order[:0]
+	h := &s.ws.heap
+	eligible := h.idx[:0]
 	for i := range s.items {
 		y[i] = 0
 		w := -s.items[i].gain + mu[i]
 		if w < 0 && caps[i] > 0 {
-			ws.ratio[i] = w / s.items[i].lambda
-			order = append(order, i)
+			h.ratio[i] = w / s.items[i].lambda
+			eligible = append(eligible, i)
 		}
 	}
-	ws.ratioSorter.order = order
-	ws.ratioSorter.ratio = ws.ratio
-	sort.Sort(&ws.ratioSorter)
+	h.idx = eligible
+	h.init()
 	budget := s.inst.Bandwidth[s.n]
-	for _, i := range order {
+	for len(h.idx) > 0 {
 		if budget <= 0 {
 			break
 		}
+		i := h.pop()
 		it := s.items[i]
-		amount := math.Min(caps[i], budget/it.lambda)
+		// caps[i] > 0 and budget/λ > 0 here, so this compare is math.Min
+		// bit for bit.
+		amount := caps[i]
+		if q := budget / it.lambda; q < amount {
+			amount = q
+		}
 		y[i] = amount
 		budget -= amount * it.lambda
 	}
@@ -451,27 +463,48 @@ func (s *Subproblem) routingStep(y, mu, caps []float64) {
 
 // routingGivenCacheInto computes the exact optimal routing for a fixed
 // cache vector x into the caller-supplied per-item buffer y and returns
-// the gain. The eligible items are walked in the precomputed density order
-// (the knapsack's fill order is static), so a call is one linear scan with
-// no sort and no allocation.
+// the gain. A nil y computes the gain alone, which is all the cache
+// searches need. The knapsack's fill order is static (density descending),
+// so a call walks the rowItems rows × the cached contents: its cost is
+// O(linked MUs × cached contents), with no sort and no allocation.
 func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) float64 {
 	for i := range y {
 		y[i] = 0
 	}
 	budget := s.inst.Bandwidth[s.n]
+	if budget <= 1e-12 {
+		return 0
+	}
+	cached := s.ws.cached[:0]
+	for f, in := range x {
+		if in {
+			cached = append(cached, f)
+		}
+	}
 	var gain float64
-	for _, i := range s.densityOrder {
-		if budget <= 1e-12 {
-			break
+	for r := 0; r < len(s.rowItems); r += s.inst.F {
+		row := s.rowItems[r : r+s.inst.F]
+		for _, f := range cached {
+			i := row[f]
+			if i < 0 || caps[i] <= 0 {
+				continue
+			}
+			it := s.items[i]
+			// caps[i] is positive or NaN and budget/λ positive; the compare
+			// keeps math.Min's result bit for bit, NaN included.
+			amount := caps[i]
+			if q := budget / it.lambda; q < amount {
+				amount = q
+			}
+			if y != nil {
+				y[i] = amount
+			}
+			budget -= amount * it.lambda
+			gain += amount * it.gain
+			if budget <= 1e-12 {
+				return gain
+			}
 		}
-		it := s.items[i]
-		if !x[it.f] || caps[i] <= 0 || it.gain <= 0 {
-			continue
-		}
-		amount := math.Min(caps[i], budget/it.lambda)
-		y[i] = amount
-		budget -= amount * it.lambda
-		gain += amount * it.gain
 	}
 	return gain
 }
@@ -519,31 +552,26 @@ func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 	ws := &s.ws
 	// The greedy candidate is evaluated unconditionally: it must not be
 	// crowded out when the dual loop already produced MaxCandidates
-	// distinct vectors.
-	best, cand := ws.yA, ws.yB
-
-	var bestGain float64 = -1
-	var bestX []bool
-	if gain := s.routingGivenCacheInto(s.greedyCache(caps), caps, best); gain > bestGain {
-		bestGain, bestX = gain, ws.greedyX
-	}
+	// distinct vectors. Candidates are compared on gain alone; only the
+	// winner's routing is materialized.
+	bestX := s.greedyCache(caps)
+	bestGain := s.routingGivenCacheInto(bestX, caps, nil)
 	for ci := 0; ci < ws.pool.n; ci++ {
 		x := ws.pool.list[ci]
-		gain := s.routingGivenCacheInto(x, caps, cand)
-		if gain > bestGain {
+		if gain := s.routingGivenCacheInto(x, caps, nil); gain > bestGain {
 			bestGain, bestX = gain, x
-			best, cand = cand, best
 		}
 	}
-	bestX, best, bestGain = s.localSearch(bestX, best, cand, bestGain, caps)
+	s.localSearch(bestX, bestGain, caps)
 
+	best := ws.yBest
 	res := &ws.result
+	res.Gain = s.routingGivenCacheInto(bestX, caps, best)
 	copy(res.Cache, bestX)
 	res.Routing.Zero()
 	for i, it := range s.items {
 		res.Routing.Set(it.u, it.f, best[i])
 	}
-	res.Gain = bestGain
 	res.DualIters = 0
 	return res
 }
@@ -552,12 +580,9 @@ func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 // cached content with one uncached content) until no swap improves the
 // exact routing gain. The greedy candidate is near-optimal but not optimal
 // (submodular greedy); swaps close the residual gap on the instances this
-// repository targets. best and cand are the double-buffered routing
-// evaluations; the returned slice is whichever buffer holds the winner.
-func (s *Subproblem) localSearch(x []bool, best, cand []float64, gain float64, caps []float64) ([]bool, []float64, float64) {
-	if x == nil {
-		return x, best, gain
-	}
+// repository targets. x is improved in place; gain is its routing gain.
+// Swaps are probed on gain alone.
+func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) {
 	const maxPasses = 4
 	work := s.ws.workX
 	copy(work, x)
@@ -572,10 +597,9 @@ func (s *Subproblem) localSearch(x []bool, best, cand []float64, gain float64, c
 					continue
 				}
 				work[out], work[in] = false, true
-				candGain := s.routingGivenCacheInto(work, caps, cand)
+				candGain := s.routingGivenCacheInto(work, caps, nil)
 				if candGain > gain+1e-9 {
 					gain = candGain
-					best, cand = cand, best
 					copy(x, work)
 					improved = true
 					break // 'out' is no longer cached; rescan
@@ -587,7 +611,6 @@ func (s *Subproblem) localSearch(x []bool, best, cand []float64, gain float64, c
 			break
 		}
 	}
-	return x, best, gain
 }
 
 // greedyCache builds a cache vector by repeatedly adding the content with
@@ -605,7 +628,7 @@ func (s *Subproblem) greedyCache(caps []float64) []bool {
 	if capN == 0 || len(s.items) == 0 {
 		return x
 	}
-	baseGain := s.routingGivenCacheInto(x, caps, ws.scratchY)
+	baseGain := s.routingGivenCacheInto(x, caps, nil)
 	for picked := 0; picked < capN; picked++ {
 		bestF, bestGain := -1, baseGain
 		for f := 0; f < s.inst.F; f++ {
@@ -613,7 +636,7 @@ func (s *Subproblem) greedyCache(caps []float64) []bool {
 				continue
 			}
 			x[f] = true
-			gain := s.routingGivenCacheInto(x, caps, ws.scratchY)
+			gain := s.routingGivenCacheInto(x, caps, nil)
 			x[f] = false
 			if gain > bestGain+1e-12 {
 				bestF, bestGain = f, gain
@@ -668,33 +691,6 @@ func boolsEqual(a, b []bool) bool {
 	return true
 }
 
-// sortDensityOrder (re)establishes the density-descending order of
-// densityOrder through the reusable sorter, so a sort costs no closure
-// allocation.
-//
-//edgecache:noalloc
-func (s *Subproblem) sortDensityOrder() {
-	s.densitySorter.order = s.densityOrder
-	s.densitySorter.items = s.items
-	sort.Sort(&s.densitySorter)
-}
-
-// densitySorter orders item indices by density descending, ties by index.
-type densitySorter struct {
-	order []int
-	items []item
-}
-
-func (s *densitySorter) Len() int { return len(s.order) }
-func (s *densitySorter) Less(a, b int) bool {
-	ia, ib := s.order[a], s.order[b]
-	if s.items[ia].density != s.items[ib].density { //edgecache:lint-ignore floateq sort comparator must be a strict weak order; epsilon ties would break transitivity
-		return s.items[ia].density > s.items[ib].density
-	}
-	return ia < ib
-}
-func (s *densitySorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
-
 // scoreSorter orders content indices by score descending, ties by index.
 type scoreSorter struct {
 	idx   []int
@@ -711,22 +707,56 @@ func (s *scoreSorter) Less(a, b int) bool {
 }
 func (s *scoreSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-// ratioSorter orders item indices by precomputed w/λ ascending, ties by
-// index.
-type ratioSorter struct {
-	order []int
+// ratioHeap is an in-place binary min-heap of item indices under the
+// strict total order (ratio ascending, then index ascending): popping it
+// empty yields exactly the sorted order, so a fill that stops early sees
+// the same prefix a full sort would give.
+type ratioHeap struct {
+	idx   []int
 	ratio []float64
 }
 
-func (s *ratioSorter) Len() int { return len(s.order) }
-func (s *ratioSorter) Less(a, b int) bool {
-	ia, ib := s.order[a], s.order[b]
-	if s.ratio[ia] != s.ratio[ib] { //edgecache:lint-ignore floateq sort comparator must be a strict weak order; epsilon ties would break transitivity
-		return s.ratio[ia] < s.ratio[ib]
+func (h *ratioHeap) less(a, b int) bool {
+	ia, ib := h.idx[a], h.idx[b]
+	if h.ratio[ia] != h.ratio[ib] { //edgecache:lint-ignore floateq heap order must be a strict total order; epsilon ties would break transitivity
+		return h.ratio[ia] < h.ratio[ib]
 	}
 	return ia < ib
 }
-func (s *ratioSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
+
+func (h *ratioHeap) down(i int) {
+	n := len(h.idx)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			return
+		}
+		if r := m + 1; r < n && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h.idx[i], h.idx[m] = h.idx[m], h.idx[i]
+		i = m
+	}
+}
+
+func (h *ratioHeap) init() {
+	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// pop removes and returns the smallest item index.
+func (h *ratioHeap) pop() int {
+	top := h.idx[0]
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	h.down(0)
+	return top
+}
 
 func clamp01(v float64) float64 {
 	if v < 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -405,4 +406,328 @@ func TestRoutingGivenCachePrefersDensity(t *testing.T) {
 	if math.Abs(gain-149*4) > 1e-6 {
 		t.Errorf("gain = %v, want %v", gain, 149.0*4)
 	}
+}
+
+// refFill is what the reference oracle computed: the routing, its gain,
+// the items filled in fill order, the budget left over, and whether some
+// fill was clipped by the budget rather than by the item's residual
+// capacity.
+type refFill struct {
+	y       []float64
+	gain    float64
+	filled  []int
+	budget  float64
+	clipped bool
+}
+
+// refRoutingGivenCache is the dense-scan exact-routing oracle the row ×
+// cached-content walk replaced, kept as the reference it must match bit for
+// bit: every item in static density order (ties by index), skipping
+// uncached, capacity-less and gainless items.
+func refRoutingGivenCache(s *Subproblem, x []bool, caps []float64) refFill {
+	density := func(i int) float64 {
+		it := s.items[i]
+		return s.inst.BSCost[it.u] - s.inst.EdgeCost[s.n][it.u]
+	}
+	order := make([]int, len(s.items))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if density(ia) != density(ib) {
+			return density(ia) > density(ib)
+		}
+		return ia < ib
+	})
+	out := refFill{y: make([]float64, len(s.items)), budget: s.inst.Bandwidth[s.n]}
+	for _, i := range order {
+		if out.budget <= 1e-12 {
+			break
+		}
+		it := s.items[i]
+		if !x[it.f] || caps[i] <= 0 || it.gain <= 0 {
+			continue
+		}
+		amount := math.Min(caps[i], out.budget/it.lambda)
+		out.clipped = out.clipped || amount < caps[i]
+		out.y[i] = amount
+		out.filled = append(out.filled, i)
+		out.budget -= amount * it.lambda
+		out.gain += amount * it.gain
+	}
+	return out
+}
+
+// refRoutingStep is the full-sort dual knapsack the heap replaced: every
+// eligible item sorted by (w/λ, index), filled until the budget is spent.
+// dupRatio reports whether two eligible items tied on ratio.
+func refRoutingStep(s *Subproblem, mu, caps []float64) (y []float64, dupRatio bool) {
+	y = make([]float64, len(s.items))
+	ratio := make([]float64, len(s.items))
+	var order []int
+	for i, it := range s.items {
+		if w := -it.gain + mu[i]; w < 0 && caps[i] > 0 {
+			ratio[i] = w / it.lambda
+			order = append(order, i)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if ratio[ia] != ratio[ib] {
+			return ratio[ia] < ratio[ib]
+		}
+		return ia < ib
+	})
+	for k := 1; k < len(order); k++ {
+		dupRatio = dupRatio || ratio[order[k]] == ratio[order[k-1]]
+	}
+	budget := s.inst.Bandwidth[s.n]
+	for _, i := range order {
+		if budget <= 0 {
+			break
+		}
+		it := s.items[i]
+		amount := math.Min(caps[i], budget/it.lambda)
+		y[i] = amount
+		budget -= amount * it.lambda
+	}
+	return y, dupRatio
+}
+
+// kernelCase is one single-SBS knapsack plus the per-call inputs of both
+// routing kernels.
+type kernelCase struct {
+	sub  *Subproblem
+	x    []bool
+	caps []float64
+	mu   []float64
+}
+
+// decodeKernelCase deterministically maps bytes onto a kernelCase (nil
+// when too few bytes). Costs, demands, capacities and multipliers come
+// from small discrete sets, so density ties across MUs, duplicate ratios,
+// zero-demand pairs, non-positive gains and budgets that land exactly on 0
+// are common rather than measure-zero.
+func decodeKernelCase(data []byte) *kernelCase {
+	if len(data) < 4 {
+		return nil
+	}
+	pos := 0
+	next := func() int {
+		b := data[pos%len(data)]
+		pos++
+		return int(b)
+	}
+	nu, nf := next()%6+1, next()%7+1
+	inst := &model.Instance{
+		N: 1, U: nu, F: nf,
+		Demand:    make([][]float64, nu),
+		Links:     [][]bool{make([]bool, nu)},
+		CacheCap:  []int{nf},
+		Bandwidth: []float64{0},
+		EdgeCost:  [][]float64{make([]float64, nu)},
+		BSCost:    make([]float64, nu),
+	}
+	for u := 0; u < nu; u++ {
+		inst.BSCost[u] = float64(next()%4) * 25
+		inst.EdgeCost[0][u] = float64(next()%3) * 20
+		inst.Links[0][u] = next()%4 != 0
+		inst.Demand[u] = make([]float64, nf)
+		for f := range inst.Demand[u] {
+			d := float64(next() % 5)
+			if d > 0 && next()%3 == 0 {
+				d += float64(next()) / 256
+			}
+			inst.Demand[u][f] = d
+		}
+	}
+	sub, err := NewSubproblem(inst, 0, SubproblemConfig{})
+	if err != nil {
+		panic(err) // the decoder only builds valid instances
+	}
+	c := &kernelCase{sub: sub, x: make([]bool, nf), caps: make([]float64, len(sub.items)), mu: make([]float64, len(sub.items))}
+	mode := next() % 4
+	for f := range c.x {
+		c.x[f] = mode == 1 || (mode > 1 && next()%2 == 0)
+	}
+	for i, it := range sub.items {
+		switch next() % 6 {
+		case 0:
+			c.caps[i] = 0
+		case 1:
+			c.caps[i] = -0.5
+		case 2:
+			c.caps[i] = 1
+		case 3:
+			c.caps[i] = 0.5
+		case 4:
+			c.caps[i] = float64(next()) / 255
+		case 5:
+			c.caps[i] = 1e-3
+		}
+		switch next() % 4 {
+		case 1:
+			c.mu[i] = it.gain
+		case 2:
+			c.mu[i] = it.gain * float64(next()) / 256
+		case 3:
+			c.mu[i] = 2*math.Abs(it.gain) + 1
+		}
+	}
+	var total float64
+	for _, it := range sub.items {
+		total += it.lambda
+	}
+	switch next() % 5 {
+	case 0:
+		inst.Bandwidth[0] = 0
+	case 1:
+		inst.Bandwidth[0] = 2*total + 1
+	case 2:
+		inst.Bandwidth[0] = total * float64(next()) / 256
+	default:
+		// The exact load of the oracle's first k fills, so the budget lands
+		// on exactly 0 there — or, with the 1e-13 slack, just above the
+		// oracle's 1e-12 cut-off but not the dual fill's 0.
+		inst.Bandwidth[0] = 2*total + 1
+		ref := refRoutingGivenCache(sub, c.x, c.caps)
+		var load float64
+		for _, i := range ref.filled[:next()%(len(ref.filled)+1)] {
+			load += ref.y[i] * sub.items[i].lambda
+		}
+		inst.Bandwidth[0] = load
+		if next()%2 == 0 {
+			inst.Bandwidth[0] += 1e-13
+		}
+	}
+	return c
+}
+
+// checkKernels asserts that both production kernels reproduce their
+// references bit for bit: the oracle with a routing buffer (pre-filled
+// with garbage it must clear) and gain-only, and the heap-based dual fill.
+func checkKernels(t *testing.T, c *kernelCase) (ref refFill, dupRatio bool) {
+	t.Helper()
+	s := c.sub
+	ref = refRoutingGivenCache(s, c.x, c.caps)
+	y := make([]float64, len(s.items))
+	for i := range y {
+		y[i] = math.NaN()
+	}
+	gain := s.routingGivenCacheInto(c.x, c.caps, y)
+	if math.Float64bits(gain) != math.Float64bits(ref.gain) {
+		t.Fatalf("oracle gain %v (%#x), reference %v (%#x)", gain, math.Float64bits(gain), ref.gain, math.Float64bits(ref.gain))
+	}
+	if g := s.routingGivenCacheInto(c.x, c.caps, nil); math.Float64bits(g) != math.Float64bits(ref.gain) {
+		t.Fatalf("gain-only oracle %v, reference %v", g, ref.gain)
+	}
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(ref.y[i]) {
+			t.Fatalf("oracle y[%d] = %v, reference %v", i, y[i], ref.y[i])
+		}
+	}
+	wantDual, dupRatio := refRoutingStep(s, c.mu, c.caps)
+	yDual := make([]float64, len(s.items))
+	for i := range yDual {
+		yDual[i] = math.NaN()
+	}
+	s.routingStep(yDual, c.mu, c.caps)
+	for i := range yDual {
+		if math.Float64bits(yDual[i]) != math.Float64bits(wantDual[i]) {
+			t.Fatalf("dual fill y[%d] = %v, reference %v", i, yDual[i], wantDual[i])
+		}
+	}
+	return ref, dupRatio
+}
+
+// TestRoutingKernelsMatchReference is the differential test of the two
+// knapsack kernels against the implementations they replaced, over random
+// byte-decoded cases. It also asserts that the draw actually exercised
+// each edge case the kernels must agree on.
+func TestRoutingKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	hit := map[string]int{}
+	const cases = 1000
+	for k := 0; k < cases; k++ {
+		data := make([]byte, 8+rng.Intn(120))
+		rng.Read(data)
+		c := decodeKernelCase(data)
+		ref, dupRatio := checkKernels(t, c)
+
+		s, inst := c.sub, c.sub.inst
+		density := map[float64]int{}
+		for u := 0; u < inst.U; u++ {
+			if !inst.Links[0][u] {
+				continue
+			}
+			density[inst.BSCost[u]-inst.EdgeCost[0][u]]++
+			for f := 0; f < inst.F; f++ {
+				if inst.Demand[u][f] == 0 {
+					hit["zero-demand pair"]++
+				}
+			}
+		}
+		for _, count := range density {
+			if count > 1 {
+				hit["equal-density MUs"]++
+			}
+		}
+		for i, it := range s.items {
+			if c.caps[i] <= 0 {
+				hit["caps <= 0"]++
+			}
+			if it.gain <= 0 {
+				hit["non-positive gain"]++
+			}
+		}
+		filled := len(ref.filled) > 0
+		if ref.clipped {
+			hit["caps above budget/lambda"]++
+		}
+		switch {
+		case filled && ref.budget == 0:
+			hit["budget lands at 0"]++
+		case filled && ref.budget > 0 && ref.budget <= 1e-12:
+			hit["budget lands at ~1e-13"]++
+		case filled && ref.budget > 1e-12:
+			hit["slack budget"]++
+		}
+		cachedCount := 0
+		for _, in := range c.x {
+			if in {
+				cachedCount++
+			}
+		}
+		switch cachedCount {
+		case 0:
+			hit["empty cache"]++
+		case inst.F:
+			hit["full cache"]++
+		}
+		if dupRatio {
+			hit["duplicate ratios"]++
+		}
+	}
+	for _, want := range []string{
+		"equal-density MUs", "zero-demand pair", "caps <= 0", "caps above budget/lambda",
+		"non-positive gain", "budget lands at 0", "budget lands at ~1e-13", "slack budget",
+		"empty cache", "full cache", "duplicate ratios",
+	} {
+		if hit[want] == 0 {
+			t.Errorf("%d cases never exercised %q", cases, want)
+		}
+	}
+	t.Logf("edge-case coverage over %d cases: %v", cases, hit)
+}
+
+// FuzzRoutingKernels extends the differential test to fuzzer-chosen cases.
+// Run longer sessions with `go test -fuzz=FuzzRoutingKernels ./internal/core`.
+func FuzzRoutingKernels(f *testing.F) {
+	f.Add([]byte{3, 4, 1, 2, 1, 2, 3, 4, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if c := decodeKernelCase(data); c != nil {
+			checkKernels(t, c)
+		}
+	})
 }
