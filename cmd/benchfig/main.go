@@ -13,8 +13,6 @@
 //	benchfig -bench-json BENCH.json # DUA hot-path microbenchmarks as JSON
 //	benchfig -bench-parallel BENCH_parallel.json   # parallel-engine scaling report
 //	benchfig -bench-parallel new.json -bench-baseline BENCH_parallel.json  # CI regression smoke
-//	benchfig -bench-incremental BENCH_incremental.json  # dirty-set memo speedup report
-//	benchfig -bench-incremental new.json -bench-baseline BENCH_incremental.json
 //	benchfig -summary -cpuprofile cpu.pprof -memprofile mem.pprof -trace trace.out
 package main
 
@@ -56,8 +54,7 @@ func run(args []string) error {
 		plotFigs  = fs.Bool("plot", false, "render figures 3-6 as ASCII charts too")
 		benchJSON = fs.String("bench-json", "", "run the DUA hot-path microbenchmarks and write JSON to this path (\"-\" for stdout)")
 		benchPar  = fs.String("bench-parallel", "", "run the parallel sweep-engine scaling benchmark and write JSON to this path (\"-\" for stdout)")
-		benchIncr = fs.String("bench-incremental", "", "run the incremental dirty-set sweep benchmark and write JSON to this path (\"-\" for stdout)")
-		benchBase = fs.String("bench-baseline", "", "with -bench-parallel or -bench-incremental: fail on >20% speedup/alloc regression vs this committed baseline (e.g. BENCH_parallel.json)")
+		benchBase = fs.String("bench-baseline", "", "with -bench-parallel: fail on >20% speedup/alloc regression vs this committed baseline (e.g. BENCH_parallel.json)")
 		benchWrk  = fs.String("bench-workers", "1,2,4,8", "worker counts measured by -bench-parallel")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile (post-GC live set) to this file at exit")
@@ -80,17 +77,11 @@ func run(args []string) error {
 	if *benchJSON != "" {
 		return runProfiled(func() error { return runBenchJSON(*benchJSON) })
 	}
-	if *benchPar != "" && *benchIncr != "" {
-		return fmt.Errorf("-bench-parallel and -bench-incremental are mutually exclusive")
-	}
 	if *benchPar != "" {
 		return runProfiled(func() error { return runParallelBench(*benchPar, *benchBase, *benchWrk) })
 	}
-	if *benchIncr != "" {
-		return runProfiled(func() error { return runIncrementalBench(*benchIncr, *benchBase) })
-	}
 	if *benchBase != "" {
-		return fmt.Errorf("-bench-baseline requires -bench-parallel or -bench-incremental")
+		return fmt.Errorf("-bench-baseline requires -bench-parallel")
 	}
 	if !*all && *fig == 0 && !*summary && !*extra && !*ablations {
 		fs.Usage()

@@ -53,7 +53,7 @@ func TestRunWithRestarts(t *testing.T) {
 }
 
 func TestRunJacobi(t *testing.T) {
-	if err := run(smallArgs("-jacobi")); err != nil {
+	if err := run(smallArgs("-engine", "jacobi")); err != nil {
 		t.Fatal(err)
 	}
 }

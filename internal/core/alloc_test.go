@@ -78,31 +78,6 @@ func TestSolveZeroAllocsAfterWarmup(t *testing.T) {
 	}
 }
 
-// TestMemoProbeZeroAllocs pins the dirty-set fast path itself: probing the
-// memo and returning the cached workspace result must stay allocation-free
-// — the whole point of the skip is to cost less than the solve.
-func TestMemoProbeZeroAllocs(t *testing.T) {
-	inst := benchScale(3, 30, 50)
-	sub, err := NewSubproblem(inst, 1, DefaultSubproblemConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker := model.NewAggregateTracker(inst)
-	yMinus := inst.NewUFMat()
-	if _, err := sub.Solve(yMinus); err != nil {
-		t.Fatal(err)
-	}
-	sub.memoCapture(tracker)
-	if allocs := testing.AllocsPerRun(10, func() {
-		if !sub.memoHit(tracker) {
-			panic("memo must hit on an unchanged tracker")
-		}
-		allocSink = sub.cachedResult().Gain
-	}); allocs != 0 {
-		t.Fatalf("memo probe allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 // TestSolveResultIsWorkspaceOwned documents the reuse contract: the Result
 // returned by Solve aliases the subproblem's workspace and is overwritten
 // by the next call. Callers that need to retain it must copy (SetRow and

@@ -127,12 +127,6 @@ type Config struct {
 	// Workers sizes the parallel engine's pool; 0 means GOMAXPROCS. It is
 	// an error to set it for the sequential engines.
 	Workers int
-	// DisableIncremental turns off the dirty-set memo fast path and runs
-	// the engines exactly as the pre-memo reference: every sub-problem is
-	// re-solved every sweep and the Jacobi merge/repair touch every row.
-	// The trajectory is bit-identical either way (tests assert it); the
-	// flag exists for that assertion and for benchmarking the memo's win.
-	DisableIncremental bool
 	// Privacy, when non-nil, applies LPPM to every routing upload.
 	Privacy *PrivacyConfig
 
@@ -210,12 +204,10 @@ type RunResult struct {
 	// the γ-criterion stopped the run (as opposed to the sweep budget).
 	Sweeps    int
 	Converged bool
-	// Work records the dirty-set accounting of each sweep this run
-	// executed: how many sub-problems were actually solved and how many
-	// were served from the memo (see DESIGN.md "Incremental sweeps"). It is
-	// nil for engines without the accounting (the sim BS sweeper) and is
-	// not serialized in checkpoints — a resumed run restarts it, matching
-	// the memo itself being rebuilt rather than restored.
+	// Work records how many sub-problems each sweep this run executed
+	// solved. It is nil for engines without the accounting (the sim BS
+	// sweeper) and is not serialized in checkpoints — a resumed run
+	// restarts it.
 	Work []SweepWork
 	// Faults holds the per-SBS fault accounting of a distributed run
 	// (one entry per SBS). It is nil for in-process runs, which have no
@@ -223,10 +215,10 @@ type RunResult struct {
 	Faults []SBSFaultStats
 }
 
-// SweepWork is one sweep's dirty-set accounting: Solves sub-problems were
-// recomputed, Skipped were answered verbatim from the per-SBS memo because
-// nothing they read had changed. Solves+Skipped == N for the in-process
-// engines.
+// SweepWork is one sweep's solve accounting. Every engine solves every
+// sub-problem it visits, so Solves is N for a full in-process sweep (fewer
+// only for a sweep resumed mid-way). Skipped is always 0: no engine skips
+// a solve. The field is kept for report consumers that still read it.
 type SweepWork struct {
 	Solves  int
 	Skipped int
@@ -359,24 +351,6 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 // engine's worker pool). It is idempotent and safe to skip for the
 // sequential engines.
 func (c *Coordinator) Close() { c.engine.Close() }
-
-// incremental reports whether the engines may use the dirty-set memo fast
-// path. The attack taps observe every broadcast and upload, so a tapped
-// run must execute every phase in full — skipping would change what the
-// tap sees even though the trajectory is identical.
-func (c *Coordinator) incremental() bool {
-	return !c.cfg.DisableIncremental && c.cfg.BroadcastTap == nil && c.cfg.UploadTap == nil
-}
-
-// invalidateMemos drops every sub-problem memo. Engines call it on every
-// error return out of a sweep: an aborted round may have captured memos it
-// never installed, which would break the hit fast paths on a retry (see
-// Subproblem.memoInvalidate).
-func (c *Coordinator) invalidateMemos() {
-	for _, sub := range c.subs {
-		sub.memoInvalidate()
-	}
-}
 
 // Run executes the configured engine from the all-zero initial policy.
 // With Config.Restarts > 0 (Gauss-Seidel only) it additionally explores

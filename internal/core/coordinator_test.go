@@ -331,3 +331,24 @@ func TestCoordinatorDeterministicWithSeed(t *testing.T) {
 		t.Error("same seed produced different costs")
 	}
 }
+
+// TestTapsSeeEveryBroadcast pins the attack taps' observation contract:
+// every phase of every sweep broadcasts one y_{-n} and uploads one
+// routing, so a tapped run shows the taps Sweeps × N of each.
+func TestTapsSeeEveryBroadcast(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	inst := randomInstance(rng, 5, 7, 9)
+
+	broadcasts, uploads := 0, 0
+	cfg := DefaultConfig()
+	cfg.Gamma = 1e-300
+	cfg.MaxSweeps = 8
+	cfg.BroadcastTap = func(int, int, [][]float64) { broadcasts++ }
+	cfg.UploadTap = func(int, int, [][]float64, [][]float64) { uploads++ }
+
+	res := runCfg(t, inst, cfg)
+	want := res.Sweeps * inst.N
+	if broadcasts != want || uploads != want {
+		t.Fatalf("taps observed %d broadcasts and %d uploads, want %d each", broadcasts, uploads, want)
+	}
+}

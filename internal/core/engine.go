@@ -101,14 +101,13 @@ type SweepEngine interface {
 	Close()
 }
 
-// workCounter is the optional engine face of the dirty-set accounting:
-// engines that track memo hits expose cumulative counters and the Driver
-// turns them into per-sweep deltas in RunResult.Work. Engines without the
-// accounting (the sim BS sweeper) simply don't implement it.
+// workCounter is the optional engine face of the solve accounting:
+// engines expose a cumulative solve counter and the Driver turns it into
+// per-sweep deltas in RunResult.Work. Engines without the accounting (the
+// sim BS sweeper) simply don't implement it.
 type workCounter interface {
-	// workCounts returns the engine-lifetime totals of sub-problems solved
-	// and served from the memo.
-	workCounts() (solves, skipped uint64)
+	// solveCount returns the engine-lifetime total of sub-problems solved.
+	solveCount() uint64
 }
 
 // Driver is the shared outer loop of Algorithm 1: it alternates
@@ -152,9 +151,9 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 	}
 	var phaseDone func(int) error
 	wc, _ := eng.(workCounter)
-	var prevSolves, prevSkipped uint64
+	var prevSolves uint64
 	if wc != nil {
-		prevSolves, prevSkipped = wc.workCounts()
+		prevSolves = wc.solveCount()
 	}
 
 	for sweep := st.Sweep; sweep < d.MaxSweeps; sweep++ {
@@ -170,12 +169,9 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 			return nil, err
 		}
 		if wc != nil {
-			solves, skipped := wc.workCounts()
-			res.Work = append(res.Work, SweepWork{
-				Solves:  int(solves - prevSolves),
-				Skipped: int(skipped - prevSkipped),
-			})
-			prevSolves, prevSkipped = solves, skipped
+			solves := wc.solveCount()
+			res.Work = append(res.Work, SweepWork{Solves: int(solves - prevSolves)})
+			prevSolves = solves
 		}
 		cost := model.TotalServingCostFromAggregate(d.Inst, st.Y, st.Tracker.Aggregate())
 		res.History = append(res.History, cost.Total)
@@ -215,9 +211,9 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 type gsEngine struct {
 	c      *Coordinator
 	yMinus model.Mat
-	// solves and skips are the engine-lifetime dirty-set accounting the
-	// Driver slices into per-sweep deltas.
-	solves, skips uint64
+	// solves is the engine-lifetime solve count the Driver slices into
+	// per-sweep deltas.
+	solves uint64
 }
 
 func newGSEngine(c *Coordinator) *gsEngine {
@@ -227,52 +223,27 @@ func newGSEngine(c *Coordinator) *gsEngine {
 func (e *gsEngine) Kind() model.EngineKind { return model.EngineGaussSeidel }
 func (e *gsEngine) Close()                 {}
 
-func (e *gsEngine) workCounts() (uint64, uint64) { return e.solves, e.skips }
+func (e *gsEngine) solveCount() uint64 { return e.solves }
 
 func (e *gsEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) error) error {
 	c, inst := e.c, e.c.inst
-	memo := c.incremental()
 	for pi := first; pi < len(st.Order); pi++ {
 		n := st.Order[pi]
-		// Each phase is one mutation stage: bumps from this phase's Install
-		// stamp a clock value newer than any memo key captured before it.
-		st.Tracker.BeginPhase()
 		// The BS broadcasts the aggregate routing; SBS n subtracts its
 		// own last upload to obtain y_{-n} (eq. 25).
 		st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus)
 		if c.cfg.BroadcastTap != nil {
 			c.cfg.BroadcastTap(sweep, n, e.yMinus.Rows())
 		}
-		var sub *Result
-		if memo && c.subs[n].memoHit(st.Tracker) {
-			// Nothing SBS n reads changed since its last solve, so the
-			// solver — deterministic in y_{-n} — would reproduce the cached
-			// result bit for bit. Everything else in the phase (LPPM draws,
-			// the install round-trip) still runs, so the trajectory and the
-			// noise stream position stay byte-equal to the unskipped run's.
-			sub = c.subs[n].cachedResult()
-			e.skips++
-		} else {
-			var err error
-			sub, err = c.subs[n].Solve(e.yMinus)
-			if err != nil {
-				c.invalidateMemos()
-				return err
-			}
-			if memo {
-				// Key the memo on the pre-install epochs: the result answers
-				// the state the solve read, and the install below must
-				// invalidate it if the round-trip moves any bits.
-				c.subs[n].memoCapture(st.Tracker)
-			}
-			e.solves++
+		sub, err := c.subs[n].Solve(e.yMinus)
+		if err != nil {
+			return err
 		}
+		e.solves++
 		upload := sub.Routing
 		if c.lppm != nil {
-			var err error
 			upload, err = c.lppm.PerturbSBS(n, sub.Routing)
 			if err != nil {
-				c.invalidateMemos()
 				return err
 			}
 		}

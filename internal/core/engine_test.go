@@ -90,31 +90,75 @@ func TestParallelBitIdenticalWithPrivacy(t *testing.T) {
 	}
 }
 
-// TestRunJacobiMatchesEngineConfig pins the legacy entry point to the
-// engine path: RunJacobi on a default (Gauss-Seidel) coordinator and
-// Run on an EngineJacobi coordinator must produce the same trajectory.
-func TestRunJacobiMatchesEngineConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	inst := randomInstance(rng, 4, 7, 9)
+// runCfg builds a coordinator for cfg, runs it and returns the result.
+func runCfg(t *testing.T, inst *model.Instance, cfg Config) *RunResult {
+	t.Helper()
+	coord, err := NewCoordinator(inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	res, err := coord.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
-	legacy, err := NewCoordinator(inst, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := legacy.RunJacobi()
-	if err != nil {
-		t.Fatal(err)
+// TestWorkCountsEverySolve pins RunResult.Work: one entry per sweep, and
+// every full in-process sweep solves all N sub-problems and skips none.
+// A run resumed mid-sweep counts only the phases it executed.
+func TestWorkCountsEverySolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	inst := randomInstance(rng, 8, 20, 30)
+
+	gs := DefaultConfig()
+	gs.Gamma = 1e-300
+	gs.MaxSweeps = 3
+	jac := jacobiCfg()
+	jac.MaxSweeps = 3
+	par := parallelCfg(2)
+	par.MaxSweeps = 3
+
+	for name, cfg := range map[string]Config{"gs": gs, "jacobi": jac, "parallel": par} {
+		t.Run(name, func(t *testing.T) {
+			res := runCfg(t, inst, cfg)
+			if len(res.Work) != res.Sweeps {
+				t.Fatalf("%d Work entries for %d sweeps", len(res.Work), res.Sweeps)
+			}
+			for i, w := range res.Work {
+				if w.Solves != inst.N || w.Skipped != 0 {
+					t.Fatalf("sweep %d work %+v, want %d solves and none skipped", i, w, inst.N)
+				}
+			}
+		})
 	}
 
-	coord, err := NewCoordinator(inst, jacobiCfg())
+	store := model.NewMemCheckpointStore(0)
+	ckCfg := gs
+	ckCfg.Checkpoint = &CheckpointConfig{Sink: store, EachPhase: true}
+	runCfg(t, inst, ckCfg)
+	var ck *model.Checkpoint
+	for _, snap := range store.All() {
+		if snap.Phase != 0 {
+			ck = snap
+			break
+		}
+	}
+	if ck == nil {
+		t.Fatal("no mid-sweep snapshot captured")
+	}
+	fresh, err := NewCoordinator(inst, gs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Run()
+	res, err := fresh.Resume(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitEqualResults(t, got, want, "RunJacobi vs Engine=jacobi")
+	if len(res.Work) == 0 || res.Work[0].Solves != inst.N-ck.Phase {
+		t.Fatalf("resume at phase %d: work %+v, want %d solves in the first sweep", ck.Phase, res.Work, inst.N-ck.Phase)
+	}
 }
 
 // TestJacobiTrackerMatchesReferenceRepair pins the engines' incremental

@@ -34,168 +34,52 @@ type jacobiEngine struct {
 	// pre-round policy every SBS observes; the two swap at the end of the
 	// round, recycling the old tensor as the next round's buffer.
 	next *model.RoutingPolicy
-	// dirtyBlock[n] records whether SBS n's round-k block differs bitwise
-	// from its round-(k−1) block; dirtyRow[u] whether any dirty block is
-	// linked to user row u. Only dirty rows are re-merged and re-repaired.
-	dirtyBlock []bool
-	dirtyRow   []bool
-	// solves and skips are the engine-lifetime dirty-set accounting.
-	solves, skips uint64
+	// solves is the engine-lifetime solve count.
+	solves uint64
 }
 
 func newJacobiEngine(c *Coordinator) *jacobiEngine {
 	return &jacobiEngine{
-		c:          c,
-		yMinus:     c.inst.NewUFMat(),
-		next:       model.NewRoutingPolicy(c.inst),
-		dirtyBlock: make([]bool, c.inst.N),
-		dirtyRow:   make([]bool, c.inst.U),
+		c:      c,
+		yMinus: c.inst.NewUFMat(),
+		next:   model.NewRoutingPolicy(c.inst),
 	}
 }
 
 func (e *jacobiEngine) Kind() model.EngineKind { return model.EngineJacobi }
 func (e *jacobiEngine) Close()                 {}
 
-func (e *jacobiEngine) workCounts() (uint64, uint64) { return e.solves, e.skips }
-
-// allMemoHits reports whether every sub-problem's memo is valid for the
-// current tracker state. Such a round is a complete no-op for a non-private
-// run: every hit block is bitwise equal to its current value (had an
-// earlier install or repair changed it, the epoch bump would have missed
-// the memo), so the round's writes, merge and repair all reproduce the
-// existing bits.
-//
-//edgecache:noalloc
-func allMemoHits(c *Coordinator, t *model.AggregateTracker) bool {
-	for _, sub := range c.subs {
-		if !sub.memoHit(t) {
-			return false
-		}
-	}
-	return true
-}
-
-// markDirtyRows ORs the link rows of every dirty block into dirtyRow and
-// reports whether any block was dirty. dirtyRow is reset first.
-//
-//edgecache:noalloc
-func markDirtyRows(inst *model.Instance, dirtyBlock, dirtyRow []bool) bool {
-	for u := range dirtyRow {
-		dirtyRow[u] = false
-	}
-	any := false
-	for n, dirty := range dirtyBlock {
-		if !dirty {
-			continue
-		}
-		any = true
-		links := inst.Links[n]
-		for u := range dirtyRow {
-			if links[u] {
-				dirtyRow[u] = true
-			}
-		}
-	}
-	return any
-}
+func (e *jacobiEngine) solveCount() uint64 { return e.solves }
 
 func (e *jacobiEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) error) error {
 	if first != 0 {
 		return fmt.Errorf("core: a jacobi round is atomic; cannot resume at phase %d", first)
 	}
 	c, inst := e.c, e.c.inst
-	memo := c.incremental()
-	if memo && c.lppm == nil && allMemoHits(c, st.Tracker) {
-		// Every block would be re-derived bit-identically, so the round
-		// changes nothing: the γ rule sees an identical cost and stops.
-		e.skips += uint64(inst.N)
-		return nil
-	}
 	// All SBSs observe the same pre-round policy (stale state). Every
 	// block of next is overwritten below, so the swapped-in buffer needs
 	// no clearing.
 	for n := 0; n < inst.N; n++ {
-		var sub *Result
-		if memo && c.subs[n].memoHit(st.Tracker) {
-			sub = c.subs[n].cachedResult()
-			e.skips++
-		} else {
-			st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus)
-			var err error
-			sub, err = c.subs[n].Solve(e.yMinus)
-			if err != nil {
-				c.invalidateMemos()
-				return err
-			}
-			if memo {
-				c.subs[n].memoCapture(st.Tracker)
-			}
-			e.solves++
+		st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus)
+		sub, err := c.subs[n].Solve(e.yMinus)
+		if err != nil {
+			return err
 		}
+		e.solves++
 		upload := sub.Routing
 		if c.lppm != nil {
-			var err error
 			upload, err = c.lppm.PerturbSBS(n, sub.Routing)
 			if err != nil {
-				c.invalidateMemos()
 				return err
 			}
 		}
 		st.X.SetRow(n, sub.Cache)
-		// Change detection against the pre-round block (st.Y still holds
-		// it): a clean block's rows need no re-merge, and its owner's — and
-		// neighbours' — memos survive the round.
-		e.dirtyBlock[n] = !memo || !st.Y.SBS(n).BitsEqual(upload)
 		e.next.SetSBS(n, upload)
 	}
 	st.Y.Swap(e.next)
-	if !markDirtyRows(inst, e.dirtyBlock, e.dirtyRow) {
-		// Every upload reproduced its previous bits; the aggregate is
-		// already exact and repaired.
-		return nil
-	}
-	st.Tracker.BeginPhase()
-	for n, dirty := range e.dirtyBlock {
-		if dirty {
-			st.Tracker.MarkBlockDirty(n)
-		}
-	}
-	if !memo {
-		st.Tracker.RebuildRows(inst, st.Y, 0, inst.U)
-		st.Tracker.RepairOverserveRows(inst, st.Y, 0, inst.U)
-		return nil
-	}
-	// Merge and repair only the rows a dirty block contributes to:
-	// untouched rows still equal the ascending-n sum of their (unchanged)
-	// contributing blocks and already satisfied the overserve bound.
-	for u0 := 0; u0 < inst.U; {
-		if !e.dirtyRow[u0] {
-			u0++
-			continue
-		}
-		u1 := u0 + 1
-		for u1 < inst.U && e.dirtyRow[u1] {
-			u1++
-		}
-		st.Tracker.RebuildRows(inst, st.Y, u0, u1)
-		st.Tracker.RepairOverserveRows(inst, st.Y, u0, u1)
-		u0 = u1
-	}
+	st.Tracker.RebuildRows(inst, st.Y, 0, inst.U)
+	st.Tracker.RepairOverserveRows(inst, st.Y, 0, inst.U)
 	return nil
-}
-
-// RunJacobi executes the reference Jacobi engine through the shared
-// driver, regardless of Config.Engine — the E9/E10 ablations compare it
-// against a Gauss-Seidel run of the same coordinator. Prefer
-// Config.Engine for new code.
-//
-// Convergence is assessed with the same γ rule as Run.
-func (c *Coordinator) RunJacobi() (*RunResult, error) {
-	eng := c.engine
-	if eng.Kind() != model.EngineJacobi {
-		eng = newJacobiEngine(c)
-	}
-	return c.runEngine(eng, NewSweepState(c.inst, identityOrder(c.inst.N)))
 }
 
 // repairOverserve rescales routing proportionally wherever the aggregate

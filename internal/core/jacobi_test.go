@@ -11,14 +11,7 @@ func TestJacobiFeasibleAndConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 8; trial++ {
 		inst := randomInstance(rng, 3, 6, 8)
-		coord, err := NewCoordinator(inst, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := coord.RunJacobi()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runCfg(t, inst, jacobiCfg())
 		if vs := model.CheckFeasibility(inst, res.Solution.Caching, res.Solution.Routing); len(vs) != 0 {
 			t.Fatalf("trial %d: Jacobi solution infeasible:\n%s", trial, model.FormatViolations(vs))
 		}
@@ -39,18 +32,8 @@ func TestJacobiComparableToSequential(t *testing.T) {
 	var seq, jac float64
 	for trial := 0; trial < 6; trial++ {
 		inst := randomInstance(rng, 3, 6, 8)
-		coord, err := NewCoordinator(inst, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := coord.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := coord.RunJacobi()
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := runCfg(t, inst, DefaultConfig())
+		j := runCfg(t, inst, jacobiCfg())
 		seq += s.Solution.Cost.Total
 		jac += j.Solution.Cost.Total
 	}
@@ -65,17 +48,10 @@ func TestJacobiComparableToSequential(t *testing.T) {
 func TestJacobiWithPrivacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	inst := randomInstance(rng, 3, 5, 6)
-	cfg := DefaultConfig()
+	cfg := jacobiCfg()
 	cfg.MaxSweeps = 10
 	cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0.5, Rng: rand.New(rand.NewSource(24))}
-	coord, err := NewCoordinator(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := coord.RunJacobi()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCfg(t, inst, cfg)
 	if vs := model.CheckFeasibility(inst, res.Solution.Caching, res.Solution.Routing); len(vs) != 0 {
 		t.Fatalf("infeasible:\n%s", model.FormatViolations(vs))
 	}

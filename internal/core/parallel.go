@@ -19,22 +19,17 @@ import (
 //     workspace (c.subs[n]), its own caching-policy row (word-disjoint in
 //     the packed bitset) and its own U×F block of the next-round tensor,
 //     so distinct n never share memory. Every input (the pre-round policy
-//     and aggregate) is read-only during the phase. Memo hits — SBSs whose
-//     inputs carry unchanged epochs — skip the solve and copy the cached
-//     result instead; the driver sizes the number of woken workers from
-//     the miss count, and a fully-hit non-private round wakes nobody.
+//     and aggregate) is read-only during the phase.
 //   - LPPM pass: noise draws come from one shared sequential stream, so
 //     the driver goroutine perturbs the uploads alone, in ascending SBS
 //     order — the same draw sequence as the sequential engines. Solves
 //     consume no randomness, so scheduling cannot reorder draws.
 //   - Merge and repair phases: the aggregate rebuild and the overserve
-//     repair are sharded by contiguous user-row ranges and, with the memo
-//     enabled, touch only the rows some bitwise-changed block contributes
-//     to. Both accumulate each (u,f) entry over n in ascending order (see
+//     repair are sharded by contiguous user-row ranges. Both accumulate
+//     each (u,f) entry over n in ascending order (see
 //     AggregateTracker.RebuildRows), so the reduction order — and
 //     therefore every floating-point bit — is independent of the worker
-//     count, of scheduling, and of which rows were skipped (a skipped
-//     row's recompute would reproduce its current bits).
+//     count and of scheduling.
 //
 // Workers park between phases on a wake channel and signal a done channel
 // after each phase, giving the engine a barrier per phase; the
@@ -44,34 +39,22 @@ type parallelJacobiEngine struct {
 	c       *Coordinator
 	workers int
 
-	// Per-worker scratch: y_{-n} matrices for the solve phase and
-	// length-F accumulation rows for the merge phase (shards of
-	// RebuildRowsScratch must not share scratch). Everything else a worker
-	// touches is either read-only or owned by the SBS index or row range
-	// it claimed.
-	yMinus       []model.Mat
-	mergeScratch [][]float64
-	next         *model.RoutingPolicy
+	// Per-worker y_{-n} scratch for the solve phase. Everything else a
+	// worker touches is either read-only or owned by the SBS index or row
+	// range it claimed.
+	yMinus []model.Mat
+	next   *model.RoutingPolicy
 
 	// Phase plumbing, written by the driver goroutine before the wake
 	// tokens and read by workers after them.
-	st        *SweepState
-	phase     int
-	cursor    atomic.Int64
-	chunk     int // solve-phase claims per cursor fetch-add
-	active    int // workers woken for the current phase; shard divisor
-	memoRound bool
-	errs      []error
+	st     *SweepState
+	phase  int
+	cursor atomic.Int64
+	chunk  int // solve-phase claims per cursor fetch-add
+	errs   []error
 
-	// Per-round dirty-set state. hit is the driver's memo pre-pass;
-	// dirtyBlock is written only by the worker that claimed the SBS (or by
-	// the driver's LPPM pass); dirtyRow is driver-only.
-	hit        []bool
-	dirtyBlock []bool
-	dirtyRow   []bool
-
-	// solves and skips are the engine-lifetime dirty-set accounting.
-	solves, skips uint64
+	// solves is the engine-lifetime solve count.
+	solves uint64
 
 	started bool
 	closed  bool
@@ -96,18 +79,14 @@ func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &parallelJacobiEngine{
-		c:            c,
-		workers:      workers,
-		yMinus:       make([]model.Mat, workers),
-		mergeScratch: make([][]float64, workers),
-		next:         model.NewRoutingPolicy(c.inst),
-		errs:         make([]error, workers),
-		hit:          make([]bool, c.inst.N),
-		dirtyBlock:   make([]bool, c.inst.N),
-		dirtyRow:     make([]bool, c.inst.U),
-		wake:         make([]chan struct{}, workers),
-		done:         make(chan struct{}, workers),
-		quit:         make(chan struct{}),
+		c:       c,
+		workers: workers,
+		yMinus:  make([]model.Mat, workers),
+		next:    model.NewRoutingPolicy(c.inst),
+		errs:    make([]error, workers),
+		wake:    make([]chan struct{}, workers),
+		done:    make(chan struct{}, workers),
+		quit:    make(chan struct{}),
 	}
 	// Chunked claims amortize the cursor contention: ~4 chunks per worker
 	// keeps dynamic balancing while shrinking the CAS count from N to
@@ -118,7 +97,6 @@ func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine 
 	}
 	for w := range e.yMinus {
 		e.yMinus[w] = c.inst.NewUFMat()
-		e.mergeScratch[w] = make([]float64, c.inst.F)
 		e.wake[w] = make(chan struct{}, 1)
 	}
 	return e
@@ -126,7 +104,7 @@ func newParallelJacobiEngine(c *Coordinator, workers int) *parallelJacobiEngine 
 
 func (e *parallelJacobiEngine) Kind() model.EngineKind { return model.EngineParallelJacobi }
 
-func (e *parallelJacobiEngine) workCounts() (uint64, uint64) { return e.solves, e.skips }
+func (e *parallelJacobiEngine) solveCount() uint64 { return e.solves }
 
 // Close stops the worker pool. Idempotent.
 func (e *parallelJacobiEngine) Close() {
@@ -185,49 +163,16 @@ func (e *parallelJacobiEngine) runPhase(w int) {
 	case phaseSolve:
 		e.solveShare(w)
 	case phaseMerge:
-		// With the memo on, rebuild only the maximal runs of dirty rows in
-		// the shard: contiguous runs keep the merge cache-blocked — each
-		// call streams sequential aggregate and policy memory.
 		u0, u1 := e.rowRange(w)
-		if !e.memoRound {
-			e.st.Tracker.RebuildRowsScratch(e.c.inst, e.st.Y, u0, u1, e.mergeScratch[w])
-			return
-		}
-		for r0 := u0; r0 < u1; {
-			if !e.dirtyRow[r0] {
-				r0++
-				continue
-			}
-			r1 := r0 + 1
-			for r1 < u1 && e.dirtyRow[r1] {
-				r1++
-			}
-			e.st.Tracker.RebuildRowsScratch(e.c.inst, e.st.Y, r0, r1, e.mergeScratch[w])
-			r0 = r1
-		}
+		e.st.Tracker.RebuildRows(e.c.inst, e.st.Y, u0, u1)
 	case phaseRepair:
 		u0, u1 := e.rowRange(w)
-		if !e.memoRound {
-			e.st.Tracker.RepairOverserveRows(e.c.inst, e.st.Y, u0, u1)
-			return
-		}
-		for r0 := u0; r0 < u1; {
-			if !e.dirtyRow[r0] {
-				r0++
-				continue
-			}
-			r1 := r0 + 1
-			for r1 < u1 && e.dirtyRow[r1] {
-				r1++
-			}
-			e.st.Tracker.RepairOverserveRows(e.c.inst, e.st.Y, r0, r1)
-			r0 = r1
-		}
+		e.st.Tracker.RepairOverserveRows(e.c.inst, e.st.Y, u0, u1)
 	}
 }
 
 // solveShare claims chunks of sub-problems off the shared cursor until the
-// round is drained. Memo hits copy the cached result; misses solve.
+// round is drained.
 //
 //edgecache:noalloc
 func (e *parallelJacobiEngine) solveShare(w int) {
@@ -245,71 +190,38 @@ func (e *parallelJacobiEngine) solveShare(w int) {
 			if e.errs[w] != nil {
 				continue // drain the cursor; the round already failed
 			}
-			if e.hit[n] {
-				// The cached result is bit-identical to what a re-solve
-				// would produce; install its clean routing so the LPPM pass
-				// (or the swap) sees exactly what the reference engine
-				// would have written.
-				sub := c.subs[n].cachedResult()
-				st.X.SetRow(n, sub.Cache)
-				e.next.SetSBS(n, sub.Routing)
-				e.dirtyBlock[n] = false
-				continue
-			}
 			st.Tracker.YMinusInto(inst, st.Y, n, e.yMinus[w])
 			sub, err := c.subs[n].Solve(e.yMinus[w])
 			if err != nil {
 				e.errs[w] = err
 				continue
 			}
-			if e.memoRound {
-				c.subs[n].memoCapture(st.Tracker)
-			}
 			st.X.SetRow(n, sub.Cache)
-			// Change detection against the pre-round block (st.Y is frozen
-			// for the phase). Without the memo the round is the full
-			// reference: every block counts as dirty.
-			e.dirtyBlock[n] = !e.memoRound || !st.Y.SBS(n).BitsEqual(sub.Routing)
 			e.next.SetSBS(n, sub.Routing)
 		}
 	}
 }
 
 // rowRange is worker w's static user-row shard [u0, u1) for the merge and
-// repair phases, split across the workers woken for the phase. Contiguous
-// ranges keep each worker on sequential memory.
+// repair phases. Contiguous ranges keep each worker on sequential memory.
 //
 //edgecache:noalloc
 func (e *parallelJacobiEngine) rowRange(w int) (int, int) {
 	u := e.c.inst.U
-	return w * u / e.active, (w + 1) * u / e.active
+	return w * u / e.workers, (w + 1) * u / e.workers
 }
 
-// barrier publishes phase to the first `active` workers and blocks until
-// every one of them has finished its share. Sizing active from the actual
-// work (miss count, dirty-row count) is what keeps all-hit and mostly-hit
-// rounds from paying workers·(wake+park) for nothing.
-func (e *parallelJacobiEngine) barrier(phase, active int) {
+// barrier publishes phase to every worker and blocks until each one has
+// finished its share.
+func (e *parallelJacobiEngine) barrier(phase int) {
 	e.phase = phase
-	e.active = active
 	e.cursor.Store(0)
-	for w := 0; w < active; w++ {
+	for w := range e.wake {
 		e.wake[w] <- struct{}{}
 	}
-	for w := 0; w < active; w++ {
+	for range e.wake {
 		<-e.done
 	}
-}
-
-// clampWorkers bounds a work-derived worker count to [1, workers].
-func (e *parallelJacobiEngine) clampWorkers(work int) int {
-	if work < 1 {
-		work = 1
-	}
-	if work > e.workers {
-		work = e.workers
-	}
-	return work
 }
 
 func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep, first int, phaseDone func(int) error) error {
@@ -320,95 +232,39 @@ func (e *parallelJacobiEngine) Sweep(st *SweepState, sweep, first int, phaseDone
 		return err
 	}
 	c, inst := e.c, e.c.inst
-	memo := c.incremental()
-	e.memoRound = memo
-
-	// Memo pre-pass (driver-side, serial): classify each SBS before any
-	// worker wakes, so the wake count can be sized from the misses.
-	misses := 0
-	for n := 0; n < inst.N; n++ {
-		e.hit[n] = memo && c.subs[n].memoHit(st.Tracker)
-		if !e.hit[n] {
-			misses++
-		}
-	}
-	if memo && c.lppm == nil && misses == 0 {
-		// Fully-hit non-private round: every block would be re-derived
-		// bit-identically, so the round is a no-op — no wakeups, no swap,
-		// no merge. The γ rule sees an identical cost and stops.
-		e.skips += uint64(inst.N)
-		return nil
-	}
-
 	e.st = st
 	for w := range e.errs {
 		e.errs[w] = nil
 	}
 
-	// Solve every miss against the same pre-round aggregate (hits copy
-	// their cached result); the raw uploads land in e.next while st.Y
-	// stays frozen as the round's read-only input. Hit copies are memcpy
-	// cheap, so the wake count follows the solve work.
-	chunks := (inst.N + e.chunk - 1) / e.chunk
-	solveWorkers := e.clampWorkers(misses)
-	if solveWorkers > chunks {
-		solveWorkers = chunks
-	}
-	e.barrier(phaseSolve, solveWorkers)
+	// Solve every SBS against the same pre-round aggregate; the raw
+	// uploads land in e.next while st.Y stays frozen as the round's
+	// read-only input.
+	e.barrier(phaseSolve)
 	for _, err := range e.errs {
 		if err != nil {
-			c.invalidateMemos()
 			e.st = nil
 			return err
 		}
 	}
-	e.solves += uint64(misses)
-	e.skips += uint64(inst.N - misses)
+	e.solves += uint64(inst.N)
 
 	// Privacy pass: one shared noise stream means one drawer. Ascending
 	// SBS order reproduces the sequential engines' draw sequence exactly.
-	// The perturbed upload decides the block's dirtiness.
 	if c.lppm != nil {
 		for n := 0; n < inst.N; n++ {
 			upload, err := c.lppm.PerturbSBS(n, e.next.SBS(n))
 			if err != nil {
-				c.invalidateMemos()
 				e.st = nil
 				return err
 			}
-			e.dirtyBlock[n] = !memo || !st.Y.SBS(n).BitsEqual(upload)
 			e.next.SetSBS(n, upload)
 		}
 	}
 
 	st.Y.Swap(e.next)
-	if !markDirtyRows(inst, e.dirtyBlock, e.dirtyRow) {
-		// Every upload reproduced its previous bits; the aggregate is
-		// already exact and repaired.
-		e.st = nil
-		return nil
-	}
-	st.Tracker.BeginPhase()
-	dirtyRows := 0
-	for n, dirty := range e.dirtyBlock {
-		if dirty {
-			st.Tracker.MarkBlockDirty(n)
-		}
-	}
-	for _, dirty := range e.dirtyRow {
-		if dirty {
-			dirtyRows++
-		}
-	}
-	mergeWorkers := e.workers
-	if memo {
-		// A worker per handful of dirty rows: a nearly-converged round
-		// re-merges a sliver of the aggregate and should not pay
-		// workers·(wake+park) to do it.
-		mergeWorkers = e.clampWorkers((dirtyRows + 15) / 16)
-	}
-	e.barrier(phaseMerge, mergeWorkers)
-	e.barrier(phaseRepair, mergeWorkers)
+	e.barrier(phaseMerge)
+	e.barrier(phaseRepair)
 	e.st = nil
 	return nil
 }

@@ -93,75 +93,7 @@ type Subproblem struct {
 	stepScale float64
 	// ws is the reusable solve workspace.
 	ws solveWorkspace
-	// memo is the dirty-set fast path: the epoch key of the tracker state
-	// ws.result was solved against (see memoHit).
-	memo solveMemo
 }
-
-// solveMemo records which tracker state the workspace result answers.
-// Identical key ⇒ the y_{-n} this SBS would derive is bitwise identical
-// ⇒ the deterministic solver would recompute the identical result, so the
-// engines return ws.result verbatim instead. The memo is rebuilt, never
-// serialized: a resumed or reset tracker bumps its generation and every
-// key goes stale.
-type solveMemo struct {
-	valid bool
-	// tracker identifies the tracker the key was read from; a different
-	// run (Restarts, a fresh coordinator state) has a different tracker.
-	tracker *model.AggregateTracker
-	gen     uint64
-	// rowMax is LinkedRowEpochMax at solve time: epochs only grow, so an
-	// equal max proves no linked aggregate row changed since.
-	rowMax uint64
-	// block is the epoch of this SBS's own block (y_{-n} = agg − y_n
-	// reads both halves).
-	block uint64
-}
-
-// memoHit reports whether ws.result is still the exact best response to
-// the state SBS n currently observes through t: same tracker incarnation
-// and generation, no bitwise change to any linked aggregate row or to the
-// SBS's own block since the result was computed.
-//
-//edgecache:noalloc
-func (s *Subproblem) memoHit(t *model.AggregateTracker) bool {
-	return s.memo.valid &&
-		s.memo.tracker == t &&
-		s.memo.gen == t.Gen() &&
-		s.memo.block == t.BlockEpoch(s.n) &&
-		s.memo.rowMax == t.LinkedRowEpochMax(s.inst, s.n)
-}
-
-// memoCapture records the epoch key of the state a just-completed Solve
-// read. Engines call it after a successful Solve and before installing
-// the result: the install's own bumps (if the round-trip changed bits)
-// must invalidate the memo, because they change what this SBS observes.
-//
-//edgecache:noalloc
-func (s *Subproblem) memoCapture(t *model.AggregateTracker) {
-	s.memo = solveMemo{
-		valid:   true,
-		tracker: t,
-		gen:     t.Gen(),
-		rowMax:  t.LinkedRowEpochMax(s.inst, s.n),
-		block:   t.BlockEpoch(s.n),
-	}
-}
-
-// cachedResult returns the workspace result paired with the current memo.
-// Only valid immediately after memoHit reported true.
-//
-//edgecache:noalloc
-func (s *Subproblem) cachedResult() *Result { return &s.ws.result }
-
-// memoInvalidate drops the memo. The engines call it (for every SBS) when
-// a sweep aborts mid-round: the hit fast paths rely on "memoHit ⇒ the
-// cached routing is bitwise equal to the currently installed block", an
-// invariant only a completed round establishes — a capture from an aborted
-// round answers the current tracker state but was never installed.
-//
-//edgecache:noalloc
-func (s *Subproblem) memoInvalidate() { s.memo = solveMemo{} }
 
 // item is one servable (u,f) pair from SBS n's perspective.
 type item struct {

@@ -46,11 +46,8 @@ go test -race -run 'Resume|Checkpoint|BSCrash|StateSync|ReplyCache|NoiseSource' 
 # Parallel sweep-engine gate: the worker pool's determinism and crash
 # recovery run under -race before the broad suites — a data race in the
 # pool invalidates the bit-identity guarantee the engines are built on.
-# TestIncremental covers the dirty-set memo: bit-identity against the
-# memo-disabled reference (±LPPM, across resume) and the solves-skipped>0
-# gate on the standard N=20 scenario.
 echo "verify: parallel sweep-engine gate (-race)"
-go test -race -run 'TestParallel|TestEngine|TestJacobi|TestRunJacobi|TestIncremental' ./internal/core
+go test -race -run 'TestParallel|TestEngine|TestJacobi' ./internal/core
 
 echo "verify: go test -race ./internal/core/... ./internal/sim/... ./internal/transport/..."
 go test -race ./internal/core/... ./internal/sim/... ./internal/transport/...
