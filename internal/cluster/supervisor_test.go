@@ -311,7 +311,9 @@ func TestClusterSBSEscalationDegradesGracefully(t *testing.T) {
 
 // TestClusterBSEscalationFailsCellOnly exhausts a BS's restart budget: its
 // cell fails and is torn down, the run reports the failure, and the other
-// cell still completes — per-cell blast radius.
+// cell still completes — per-cell blast radius. The kill fires at the BS's
+// first progress report (sweep 0): the cell converges by sweep 2 in tens
+// of milliseconds, so a later trigger can lose the race to its completion.
 func TestClusterBSEscalationFailsCellOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test; skipped in -short")
@@ -319,7 +321,7 @@ func TestClusterBSEscalationFailsCellOnly(t *testing.T) {
 	spec := testSpec(2, 2, 8)
 	spec.RestartBudget = -1
 	procs := chaos.ProcSchedule{Events: []chaos.ProcEvent{
-		{Cell: "cell-0", SBS: -1, Op: chaos.ProcKill, Sweep: 1},
+		{Cell: "cell-0", SBS: -1, Op: chaos.ProcKill, Sweep: 0},
 	}}
 	_, res, err := runSupervised(t, spec, procs, 2*time.Minute)
 	if err == nil {

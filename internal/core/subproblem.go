@@ -89,6 +89,11 @@ type Subproblem struct {
 	// density order without a per-call sort and without touching uncached
 	// items.
 	rowItems []int
+	// rowDens is row r's density, descending in r.
+	rowDens []float64
+	// prunable is false when the instance has too many items for
+	// pruneSlack to cover the float error of the cache-search bound.
+	prunable bool
 	// stepScale is the resolved sub-gradient step scale.
 	stepScale float64
 	// ws is the reusable solve workspace.
@@ -122,6 +127,15 @@ type solveWorkspace struct {
 	yBest    []float64 // primal recovery's winning routing
 	pool     candidatePool
 	result   Result
+
+	// Cache-search bound tables, (rows+1)×F: row r, entry f sums cap·gain
+	// (prefGain) and cap·λ (prefLoad) over content f's items in rows < r.
+	// Filled per Solve; nil when the Subproblem is not prunable.
+	prefGain, prefLoad []float64
+	// prune is whether this solve's cache searches may skip oracle walks.
+	prune bool
+	// walks counts oracle walks, for tests of the pruning.
+	walks int
 
 	scoreSorter scoreSorter
 }
@@ -171,9 +185,13 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 	}
 	// Stable on u ascending: equal densities keep item-index order.
 	sort.SliceStable(rows, func(a, b int) bool { return rows[a].density > rows[b].density })
+	s.rowItems = make([]int, 0, len(rows)*inst.F)
+	s.rowDens = make([]float64, 0, len(rows))
 	for _, row := range rows {
 		s.rowItems = append(s.rowItems, row.items...)
+		s.rowDens = append(s.rowDens, row.density)
 	}
+	s.prunable = 4*len(s.items)+inst.F+16 <= pruneMaxTerms
 	s.stepScale = cfg.StepScale
 	if s.stepScale <= 0 {
 		// μ must climb to the scale of the routing coefficients
@@ -202,6 +220,11 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		result:   Result{Cache: make([]bool, inst.F), Routing: model.NewMat(inst.U, inst.F)},
 	}
 	s.ws.pool = newCandidatePool(cfg.MaxCandidates, inst.F)
+	if s.prunable {
+		size := (len(rows) + 1) * inst.F
+		tables := make([]float64, 2*size)
+		s.ws.prefGain, s.ws.prefLoad = tables[:size:size], tables[size:]
+	}
 	return s, nil
 }
 
@@ -399,13 +422,19 @@ func (s *Subproblem) routingStep(y, mu, caps []float64) {
 // searches need. The knapsack's fill order is static (density descending),
 // so a call walks the rowItems rows × the cached contents: its cost is
 // O(linked MUs × cached contents), with no sort and no allocation.
-func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) float64 {
+//
+// stop is the row in which the budget ran out, or the row count when it
+// never did (a budget of at most 1e-12 included); the cache searches
+// bound their candidates from it (see cacheBound).
+func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) (gain float64, stop int) {
+	s.ws.walks++
 	for i := range y {
 		y[i] = 0
 	}
+	stop = len(s.rowDens)
 	budget := s.inst.Bandwidth[s.n]
 	if budget <= 1e-12 {
-		return 0
+		return 0, stop
 	}
 	cached := s.ws.cached[:0]
 	for f, in := range x {
@@ -413,9 +442,8 @@ func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) float64 
 			cached = append(cached, f)
 		}
 	}
-	var gain float64
-	for r := 0; r < len(s.rowItems); r += s.inst.F {
-		row := s.rowItems[r : r+s.inst.F]
+	for r := range s.rowDens {
+		row := s.rowItems[r*s.inst.F : (r+1)*s.inst.F]
 		for _, f := range cached {
 			i := row[f]
 			if i < 0 || caps[i] <= 0 {
@@ -434,11 +462,11 @@ func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) float64 
 			budget -= amount * it.lambda
 			gain += amount * it.gain
 			if budget <= 1e-12 {
-				return gain
+				return gain, r
 			}
 		}
 	}
-	return gain
+	return gain, stop
 }
 
 // RoutingGivenCache computes the exact optimal routing for a fixed cache
@@ -448,7 +476,7 @@ func (s *Subproblem) routingGivenCacheInto(x []bool, caps, y []float64) float64 
 // cache search, an independent P_n solver.
 func (s *Subproblem) RoutingGivenCache(x []bool, caps []float64) ([]float64, float64) {
 	y := make([]float64, len(s.items))
-	gain := s.routingGivenCacheInto(x, caps, y)
+	gain, _ := s.routingGivenCacheInto(x, caps, y)
 	return y, gain
 }
 
@@ -482,15 +510,16 @@ func (s *Subproblem) BestRoutingForCache(x []bool, yMinus model.Mat) (model.Mat,
 // feasible pair as a Result in matrix form. The Result is workspace-owned.
 func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 	ws := &s.ws
+	ws.prune = s.fillBoundTables(caps)
 	// The greedy candidate is evaluated unconditionally: it must not be
 	// crowded out when the dual loop already produced MaxCandidates
 	// distinct vectors. Candidates are compared on gain alone; only the
 	// winner's routing is materialized.
 	bestX := s.greedyCache(caps)
-	bestGain := s.routingGivenCacheInto(bestX, caps, nil)
+	bestGain, _ := s.routingGivenCacheInto(bestX, caps, nil)
 	for ci := 0; ci < ws.pool.n; ci++ {
 		x := ws.pool.list[ci]
-		if gain := s.routingGivenCacheInto(x, caps, nil); gain > bestGain {
+		if gain, _ := s.routingGivenCacheInto(x, caps, nil); gain > bestGain {
 			bestGain, bestX = gain, x
 		}
 	}
@@ -498,7 +527,7 @@ func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 
 	best := ws.yBest
 	res := &ws.result
-	res.Gain = s.routingGivenCacheInto(bestX, caps, best)
+	res.Gain, _ = s.routingGivenCacheInto(bestX, caps, best)
 	copy(res.Cache, bestX)
 	res.Routing.Zero()
 	for i, it := range s.items {
@@ -513,7 +542,8 @@ func (s *Subproblem) recoverPrimal(caps []float64) *Result {
 // exact routing gain. The greedy candidate is near-optimal but not optimal
 // (submodular greedy); swaps close the residual gap on the instances this
 // repository targets. x is improved in place; gain is its routing gain.
-// Swaps are probed on gain alone.
+// Swaps are probed on gain alone, and only those whose cacheBound could
+// beat the current gain are walked.
 func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) {
 	const maxPasses = 4
 	work := s.ws.workX
@@ -524,19 +554,30 @@ func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) {
 			if !work[out] {
 				continue
 			}
+			// Every swap of out is the base work − out plus one content.
+			work[out] = false
+			var b cacheBound
+			if s.ws.prune {
+				_, stop := s.routingGivenCacheInto(work, caps, nil)
+				b = s.baseBound(work, stop)
+			}
+			threshold := gain + 1e-9
+			swapped := false
 			for in := 0; in < s.inst.F; in++ {
-				if work[in] || in == out {
+				if work[in] || in == out || !b.mayBeat(in, threshold) {
 					continue
 				}
-				work[out], work[in] = false, true
-				candGain := s.routingGivenCacheInto(work, caps, nil)
-				if candGain > gain+1e-9 {
+				work[in] = true
+				if candGain, _ := s.routingGivenCacheInto(work, caps, nil); candGain > threshold {
 					gain = candGain
 					copy(x, work)
-					improved = true
+					improved, swapped = true, true
 					break // 'out' is no longer cached; rescan
 				}
-				work[out], work[in] = true, false
+				work[in] = false
+			}
+			if !swapped {
+				work[out] = true
 			}
 		}
 		if !improved {
@@ -548,8 +589,9 @@ func (s *Subproblem) localSearch(x []bool, gain float64, caps []float64) {
 // greedyCache builds a cache vector by repeatedly adding the content with
 // the largest marginal routing gain (a submodular-style greedy). It is the
 // fallback candidate that keeps primal recovery strong when the dual
-// multipliers have not yet separated the useful contents. The returned
-// vector is the workspace's greedyX buffer.
+// multipliers have not yet separated the useful contents. Only contents
+// whose cacheBound could beat the round's running best are walked. The
+// returned vector is the workspace's greedyX buffer.
 func (s *Subproblem) greedyCache(caps []float64) []bool {
 	ws := &s.ws
 	x := ws.greedyX
@@ -560,27 +602,139 @@ func (s *Subproblem) greedyCache(caps []float64) []bool {
 	if capN == 0 || len(s.items) == 0 {
 		return x
 	}
-	baseGain := s.routingGivenCacheInto(x, caps, nil)
+	baseGain, stop := s.routingGivenCacheInto(x, caps, nil)
 	for picked := 0; picked < capN; picked++ {
-		bestF, bestGain := -1, baseGain
+		b := s.baseBound(x, stop)
+		bestF, bestGain, bestStop := -1, baseGain, stop
 		for f := 0; f < s.inst.F; f++ {
-			if x[f] {
+			if x[f] || !b.mayBeat(f, bestGain+1e-12) {
 				continue
 			}
 			x[f] = true
-			gain := s.routingGivenCacheInto(x, caps, nil)
+			gain, fStop := s.routingGivenCacheInto(x, caps, nil)
 			x[f] = false
 			if gain > bestGain+1e-12 {
-				bestF, bestGain = f, gain
+				bestF, bestGain, bestStop = f, gain, fStop
 			}
 		}
 		if bestF == -1 {
 			break // no content adds gain (bandwidth exhausted or no demand)
 		}
+		// The adopting walk was the walk of the next round's base.
 		x[bestF] = true
-		baseGain = bestGain
+		baseGain, stop = bestGain, bestStop
 	}
 	return x
+}
+
+// Cache-search pruning. Both cache searches probe candidates T = base ∪ {f}
+// and adopt one only if its oracle gain beats a threshold. One walk of the
+// base certifies an upper bound on every candidate's gain, so a candidate
+// whose bound cannot beat the threshold is skipped unwalked. A skipped
+// candidate could not have been adopted, so the searches adopt exactly
+// what walking every candidate would.
+//
+// The bound is LP weak duality for the knapsack over T. Rows are sorted by
+// density d descending, and an item's gain is d·λ. Take any row r and
+// ρ = rowDens[r] (ρ = 0 for r = rows): rows above r have d ≥ ρ and rows
+// from r on have d ≤ ρ. So every fill 0 ≤ a ≤ cap with Σ a·λ ≤ B has
+//
+//	Σ a·d·λ = Σ a·(d−ρ)·λ + ρ·Σ a·λ ≤ Σ_{T, rows<r} cap·(d−ρ)·λ + ρ·B
+//	        = B·ρ + Σ_{g∈T} (prefGain[r][g] − ρ·prefLoad[r][g]).
+//
+// This holds for every r. The row where the base walk's budget ran out
+// makes it the base's own gain plus at most what f's items above ρ add.
+//
+// pruneSlack covers the float error on both sides, relative to
+// M = B·ρ + Σ_{g∈T} (prefGain[r][g] + ρ·prefLoad[r][g]), which dominates
+// every term. With γ(n) = n·u/(1−n·u) and u = 2⁻⁵³: a walk of k ≤ items
+// fills overspends B by at most γ(2k+3) and sums its gain within γ(k+2);
+// fl(d·λ) is within one rounding of d·λ; the prefix tables and the
+// bound's own sum are within γ(rows+|T|+6), with rows ≤ items and |T| ≤ F.
+// So the walked gain is at most the float bound + γ(4·items+F+16)·M.
+// prunable requires 4·items+F+16 ≤ pruneMaxTerms, which keeps that below
+// 4.7e-10·M; the rest of pruneSlack absorbs the rounding of M and of the
+// final add.
+const (
+	pruneSlack    = 1e-9
+	pruneMaxTerms = 1 << 22
+)
+
+// fillBoundTables fills prefGain and prefLoad from this solve's caps, with
+// the oracle's own filter: a cap ≤ 0 adds nothing. It reports whether the
+// cache searches may prune: not on an unprunable Subproblem, nor when a
+// cap is NaN, which the walk propagates but the bound does not.
+func (s *Subproblem) fillBoundTables(caps []float64) bool {
+	if !s.prunable {
+		return false
+	}
+	nf := s.inst.F
+	pg, pl := s.ws.prefGain, s.ws.prefLoad
+	for r := range s.rowDens {
+		row := s.rowItems[r*nf : (r+1)*nf]
+		prevG, prevL := pg[r*nf:(r+1)*nf], pl[r*nf:(r+1)*nf]
+		nextG, nextL := pg[(r+1)*nf:(r+2)*nf], pl[(r+1)*nf:(r+2)*nf]
+		for f, i := range row {
+			g, l := prevG[f], prevL[f]
+			if i >= 0 {
+				c := caps[i]
+				if math.IsNaN(c) {
+					return false
+				}
+				if c > 0 {
+					g += c * s.items[i].gain
+					l += c * s.items[i].lambda
+				}
+			}
+			nextG[f], nextL[f] = g, l
+		}
+	}
+	return true
+}
+
+// cacheBound is one base set's part of the bound, which extends to
+// base ∪ {f} for any content f ∉ base in O(1). The zero value prunes
+// nothing.
+type cacheBound struct {
+	on      bool
+	pg, pl  []float64 // row r of prefGain and prefLoad
+	rho     float64
+	ub, mag float64 // the base's terms of the bound and of M
+}
+
+// baseBound sums the bound's base terms for base set x, whose walk stopped
+// at row stop.
+func (s *Subproblem) baseBound(x []bool, stop int) cacheBound {
+	if !s.ws.prune {
+		return cacheBound{}
+	}
+	nf := s.inst.F
+	b := cacheBound{on: true, pg: s.ws.prefGain[stop*nf : (stop+1)*nf], pl: s.ws.prefLoad[stop*nf : (stop+1)*nf]}
+	if stop < len(s.rowDens) {
+		b.rho = s.rowDens[stop]
+	}
+	b.ub = s.inst.Bandwidth[s.n] * b.rho
+	b.mag = b.ub
+	for g, in := range x {
+		if in {
+			b.ub += b.pg[g] - b.rho*b.pl[g]
+			b.mag += b.pg[g] + b.rho*b.pl[g]
+		}
+	}
+	return b
+}
+
+// bound is the slack-inflated upper bound on the oracle gain of base ∪ {f}.
+func (b *cacheBound) bound(f int) float64 {
+	ub := b.ub + (b.pg[f] - b.rho*b.pl[f])
+	mag := b.mag + (b.pg[f] + b.rho*b.pl[f])
+	return ub + pruneSlack*mag
+}
+
+// mayBeat reports whether base ∪ {f} could have an oracle gain above t: it
+// is false only when the bound is at most t, so a NaN bound is walked.
+func (b *cacheBound) mayBeat(f int, t float64) bool {
+	return !b.on || !(b.bound(f) <= t)
 }
 
 // candidatePool deduplicates cache vectors up to a size cap, with every

@@ -615,11 +615,11 @@ func checkKernels(t *testing.T, c *kernelCase) (ref refFill, dupRatio bool) {
 	for i := range y {
 		y[i] = math.NaN()
 	}
-	gain := s.routingGivenCacheInto(c.x, c.caps, y)
+	gain, _ := s.routingGivenCacheInto(c.x, c.caps, y)
 	if math.Float64bits(gain) != math.Float64bits(ref.gain) {
 		t.Fatalf("oracle gain %v (%#x), reference %v (%#x)", gain, math.Float64bits(gain), ref.gain, math.Float64bits(ref.gain))
 	}
-	if g := s.routingGivenCacheInto(c.x, c.caps, nil); math.Float64bits(g) != math.Float64bits(ref.gain) {
+	if g, _ := s.routingGivenCacheInto(c.x, c.caps, nil); math.Float64bits(g) != math.Float64bits(ref.gain) {
 		t.Fatalf("gain-only oracle %v, reference %v", g, ref.gain)
 	}
 	for i := range y {
@@ -728,6 +728,429 @@ func FuzzRoutingKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c := decodeKernelCase(data); c != nil {
 			checkKernels(t, c)
+		}
+	})
+}
+
+// probeFunc observes one candidate walk of a reference cache search: the
+// candidate set t, the content f it adds to its base t − f, and the gain
+// the oracle walked for t. t must be left as it was.
+type probeFunc func(t []bool, f int, gain float64)
+
+// refGreedyCache is the greedy cache search before pruning, kept as the
+// reference the pruned greedyCache must match bit for bit: it walks every
+// candidate of every round. It returns a fresh vector.
+func refGreedyCache(s *Subproblem, caps []float64, probe probeFunc) []bool {
+	x := make([]bool, s.inst.F)
+	capN := s.inst.CacheCap[s.n]
+	if capN == 0 || len(s.items) == 0 {
+		return x
+	}
+	baseGain, _ := s.routingGivenCacheInto(x, caps, nil)
+	for picked := 0; picked < capN; picked++ {
+		bestF, bestGain := -1, baseGain
+		for f := 0; f < s.inst.F; f++ {
+			if x[f] {
+				continue
+			}
+			x[f] = true
+			gain, _ := s.routingGivenCacheInto(x, caps, nil)
+			if probe != nil {
+				probe(x, f, gain)
+			}
+			x[f] = false
+			if gain > bestGain+1e-12 {
+				bestF, bestGain = f, gain
+			}
+		}
+		if bestF == -1 {
+			break
+		}
+		x[bestF] = true
+		baseGain = bestGain
+	}
+	return x
+}
+
+// refLocalSearch is the 1-swap local search before pruning, the reference
+// for localSearch: it walks every swap. x is improved in place.
+func refLocalSearch(s *Subproblem, x []bool, gain float64, caps []float64, probe probeFunc) {
+	const maxPasses = 4
+	work := append([]bool(nil), x...)
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		for out := 0; out < s.inst.F; out++ {
+			if !work[out] {
+				continue
+			}
+			for in := 0; in < s.inst.F; in++ {
+				if work[in] || in == out {
+					continue
+				}
+				work[out], work[in] = false, true
+				candGain, _ := s.routingGivenCacheInto(work, caps, nil)
+				if probe != nil {
+					probe(work, in, candGain)
+				}
+				if candGain > gain+1e-9 {
+					gain = candGain
+					copy(x, work)
+					improved = true
+					break
+				}
+				work[out], work[in] = true, false
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+}
+
+// capsFor computes a solve's residual capacities as Solve does.
+func capsFor(s *Subproblem, yMinus model.Mat) []float64 {
+	caps := make([]float64, len(s.items))
+	for i, it := range s.items {
+		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
+	}
+	return caps
+}
+
+// searchStats is what checkCacheSearch observed.
+type searchStats struct {
+	pairs       int  // (base, candidate) pairs whose bound was checked
+	prunedWalks int  // oracle walks of the pruned searches
+	refWalks    int  // oracle walks of the reference searches
+	swapped     bool // some reference local search adopted a swap
+}
+
+// checkCacheSearch asserts that the pruned greedyCache and localSearch
+// adopt exactly what their unpruned references adopt, bit for bit, and
+// that every (base, candidate) pair the references walk has a walked gain
+// at most its certified bound. The local search runs from the greedy
+// vector and, when x0 is non-nil, from x0 too.
+func checkCacheSearch(t testing.TB, s *Subproblem, caps []float64, x0 []bool) searchStats {
+	t.Helper()
+	ws := &s.ws
+	ws.prune = s.fillBoundTables(caps)
+	var st searchStats
+	base := make([]bool, s.inst.F)
+	sound := func(cand []bool, f int, gain float64) {
+		copy(base, cand)
+		base[f] = false
+		_, stop := s.routingGivenCacheInto(base, caps, nil)
+		b := s.baseBound(base, stop)
+		if !b.on {
+			return
+		}
+		st.pairs++
+		if !(gain <= b.bound(f)) {
+			t.Fatalf("walked gain %v of base %v + content %d exceeds its bound %v (stop row %d)", gain, members(base), f, b.bound(f), stop)
+		}
+	}
+
+	walks := ws.walks
+	refX := refGreedyCache(s, caps, nil)
+	refGain, _ := s.routingGivenCacheInto(refX, caps, nil)
+	st.refWalks += ws.walks - walks
+	walks = ws.walks
+	x := s.greedyCache(caps)
+	gain, _ := s.routingGivenCacheInto(x, caps, nil)
+	st.prunedWalks += ws.walks - walks
+	if !boolsEqual(x, refX) || math.Float64bits(gain) != math.Float64bits(refGain) {
+		t.Fatalf("greedy cache %v gain %v, reference %v gain %v", x, gain, refX, refGain)
+	}
+	refGreedyCache(s, caps, sound)
+
+	starts := [][]bool{refX}
+	if x0 != nil {
+		starts = append(starts, x0)
+	}
+	for _, start := range starts {
+		startGain, _ := s.routingGivenCacheInto(start, caps, nil)
+		want := append([]bool(nil), start...)
+		walks = ws.walks
+		refLocalSearch(s, want, startGain, caps, nil)
+		st.refWalks += ws.walks - walks
+		st.swapped = st.swapped || !boolsEqual(want, start)
+		got := append([]bool(nil), start...)
+		walks = ws.walks
+		s.localSearch(got, startGain, caps)
+		st.prunedWalks += ws.walks - walks
+		wantGain, _ := s.routingGivenCacheInto(want, caps, nil)
+		gotGain, _ := s.routingGivenCacheInto(got, caps, nil)
+		if !boolsEqual(got, want) || math.Float64bits(gotGain) != math.Float64bits(wantGain) {
+			t.Fatalf("local search from %v: %v gain %v, reference %v gain %v", start, got, gotGain, want, wantGain)
+		}
+		refLocalSearch(s, append([]bool(nil), start...), startGain, caps, sound)
+	}
+	return st
+}
+
+// members lists the contents a cache vector holds.
+func members(x []bool) []int {
+	var out []int
+	for f, in := range x {
+		if in {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// searchCase is one single-SBS cache search: the knapsack, the solve's
+// caps, and a second start vector for the local search.
+type searchCase struct {
+	sub  *Subproblem
+	caps []float64
+	x0   []bool
+	// boundary is the cache set whose walk the decoder aimed to end
+	// exactly on a row boundary, or nil.
+	boundary []bool
+}
+
+// decodeSearchCase deterministically maps bytes onto a searchCase (nil
+// when too few bytes). Costs, demands and capacities come from small
+// discrete sets, so exact gain ties, equal row densities and budgets that
+// run out exactly at the end of a row are common rather than measure-zero.
+func decodeSearchCase(data []byte) *searchCase {
+	if len(data) < 4 {
+		return nil
+	}
+	pos := 0
+	next := func() int {
+		b := data[pos%len(data)]
+		pos++
+		return int(b)
+	}
+	nu, nf := next()%6+1, next()%8+1
+	inst := &model.Instance{
+		N: 1, U: nu, F: nf,
+		Demand:    make([][]float64, nu),
+		Links:     [][]bool{make([]bool, nu)},
+		CacheCap:  []int{0},
+		Bandwidth: []float64{0},
+		EdgeCost:  [][]float64{make([]float64, nu)},
+		BSCost:    make([]float64, nu),
+	}
+	for u := 0; u < nu; u++ {
+		inst.BSCost[u] = float64(1+next()%4) * 25
+		inst.EdgeCost[0][u] = float64(next()%3) * 20
+		inst.Links[0][u] = next()%5 != 0
+		inst.Demand[u] = make([]float64, nf)
+		for f := range inst.Demand[u] {
+			d := float64(next() % 5)
+			if d > 0 && next()%3 == 0 {
+				d += float64(next()) / 256
+			}
+			inst.Demand[u][f] = d
+		}
+	}
+	if nf > 1 && next()%2 == 0 {
+		// A duplicated demand column: two contents tie exactly everywhere.
+		src, dst := next()%nf, next()%nf
+		for u := range inst.Demand {
+			inst.Demand[u][dst] = inst.Demand[u][src]
+		}
+	}
+	switch next() % 4 {
+	case 0:
+		inst.CacheCap[0] = 0
+	case 1:
+		inst.CacheCap[0] = nf + next()%2
+	default:
+		inst.CacheCap[0] = 1 + next()%nf
+	}
+	sub, err := NewSubproblem(inst, 0, SubproblemConfig{})
+	if err != nil {
+		panic(err) // the decoder only builds valid instances
+	}
+	c := &searchCase{sub: sub, caps: make([]float64, len(sub.items)), x0: make([]bool, nf)}
+	for i := range c.caps {
+		switch next() % 6 {
+		case 0:
+			c.caps[i] = 0
+		case 1, 2:
+			c.caps[i] = 1
+		case 3:
+			c.caps[i] = 0.5
+		case 4:
+			c.caps[i] = float64(next()) / 255
+		case 5:
+			c.caps[i] = 1e-3
+		}
+	}
+	if len(c.caps) > 0 && next()%12 == 0 {
+		c.caps[next()%len(c.caps)] = math.NaN()
+	}
+	room := inst.CacheCap[0]
+	for f := range c.x0 {
+		if room > 0 && next()%2 == 0 {
+			c.x0[f] = true
+			room--
+		}
+	}
+	var total float64
+	for _, it := range sub.items {
+		total += it.lambda
+	}
+	switch next() % 6 {
+	case 0:
+		inst.Bandwidth[0] = 0
+	case 1:
+		inst.Bandwidth[0] = 1e-13
+	case 2:
+		inst.Bandwidth[0] = total * float64(next()) / 256
+	case 3:
+		inst.Bandwidth[0] = 2*total + 1
+	default:
+		// The load of a cache set's first k rows, summed in the walk's fill
+		// order, so its walk runs out at the end of row k−1 — or, with the
+		// 1e-13 slack, just above the oracle's 1e-12 cut-off.
+		c.boundary = make([]bool, nf)
+		for f := range c.boundary {
+			c.boundary[f] = next()%3 != 0
+		}
+		inst.Bandwidth[0] = 2*total + 1
+		ref := refRoutingGivenCache(sub, c.boundary, c.caps)
+		rows := 1 + next()%max(len(sub.rowDens), 1)
+		var load float64
+		for _, i := range ref.filled {
+			if sub.rowOf(i) >= rows {
+				break
+			}
+			load += ref.y[i] * sub.items[i].lambda
+		}
+		inst.Bandwidth[0] = load
+		if next()%2 == 0 {
+			inst.Bandwidth[0] += 1e-13
+		}
+	}
+	return c
+}
+
+// rowOf is the rowItems row holding item i, or −1.
+func (s *Subproblem) rowOf(i int) int {
+	for k, j := range s.rowItems {
+		if j == i {
+			return k / s.inst.F
+		}
+	}
+	return -1
+}
+
+// endsOnRowBoundary reports whether the oracle's walk of x runs its budget
+// down to at most 1e-12 with the last item of a row, filled to its cap.
+func endsOnRowBoundary(s *Subproblem, x []bool, caps []float64) bool {
+	ref := refRoutingGivenCache(s, x, caps)
+	if len(ref.filled) == 0 || ref.budget > 1e-12 {
+		return false
+	}
+	last := ref.filled[len(ref.filled)-1]
+	if ref.y[last] != caps[last] {
+		return false
+	}
+	r := s.rowOf(last)
+	for f := s.items[last].f + 1; f < s.inst.F; f++ {
+		if i := s.rowItems[r*s.inst.F+f]; x[f] && i >= 0 && caps[i] > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCacheSearchMatchesReference is the differential test of the pruned
+// cache searches against the unpruned ones, over random byte-decoded
+// cases, with every walked candidate's bound checked for soundness. It
+// also asserts that the draw exercised each edge case the pruning must get
+// right.
+func TestCacheSearchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	hit := map[string]int{}
+	const cases = 3000
+	for k := 0; k < cases; k++ {
+		data := make([]byte, 8+rng.Intn(160))
+		rng.Read(data)
+		c := decodeSearchCase(data)
+		st := checkCacheSearch(t, c.sub, c.caps, c.x0)
+
+		s, inst := c.sub, c.sub.inst
+		if st.pairs > 0 {
+			hit["bound checked"]++
+		}
+		if st.prunedWalks < st.refWalks {
+			hit["walks pruned"]++
+		}
+		if st.swapped {
+			hit["local search swapped"]++
+		}
+	columns:
+		for f := 0; f < inst.F; f++ {
+			for g := f + 1; g < inst.F; g++ {
+				same, demanded := true, false
+				for u := 0; u < inst.U; u++ {
+					same = same && inst.Demand[u][f] == inst.Demand[u][g]
+					demanded = demanded || inst.Demand[u][f] > 0
+				}
+				if same && demanded {
+					hit["duplicate demand columns"]++
+					break columns
+				}
+			}
+		}
+		for r := 1; r < len(s.rowDens); r++ {
+			if s.rowDens[r] == s.rowDens[r-1] {
+				hit["equal row densities"]++
+				break
+			}
+		}
+		if c.boundary != nil && endsOnRowBoundary(s, c.boundary, c.caps) {
+			hit["budget ends on a row boundary"]++
+		}
+		if b := inst.Bandwidth[0]; b > 1e-12 && c.boundary != nil {
+			if ref := refRoutingGivenCache(s, c.boundary, c.caps); ref.budget > 0 && ref.budget <= 1e-12 {
+				hit["budget ends in (0, 1e-12]"]++
+			}
+		}
+		for _, cp := range c.caps {
+			switch {
+			case math.IsNaN(cp):
+				hit["cap NaN"]++
+			case cp == 0:
+				hit["cap 0"]++
+			}
+		}
+		if inst.Bandwidth[0] <= 1e-12 {
+			hit["B <= 1e-12"]++
+		}
+		switch {
+		case inst.CacheCap[0] == 0:
+			hit["C = 0"]++
+		case inst.CacheCap[0] >= inst.F:
+			hit["C >= F"]++
+		}
+	}
+	for _, want := range []string{
+		"bound checked", "walks pruned", "local search swapped",
+		"duplicate demand columns", "equal row densities",
+		"budget ends on a row boundary", "budget ends in (0, 1e-12]",
+		"cap 0", "cap NaN", "B <= 1e-12", "C = 0", "C >= F",
+	} {
+		if hit[want] == 0 {
+			t.Errorf("%d cases never exercised %q", cases, want)
+		}
+	}
+	t.Logf("edge-case coverage over %d cases: %v", cases, hit)
+}
+
+// FuzzCacheSearch extends the differential and bound-soundness test to
+// fuzzer-chosen cases. Run longer sessions with
+// `go test -fuzz=FuzzCacheSearch ./internal/core`.
+func FuzzCacheSearch(f *testing.F) {
+	f.Add([]byte{3, 5, 1, 2, 1, 2, 3, 4, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if c := decodeSearchCase(data); c != nil {
+			checkCacheSearch(t, c.sub, c.caps, c.x0)
 		}
 	})
 }
