@@ -48,6 +48,23 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
+// zipfDemand rescales inst's demand to a Zipf-like content skew
+// (exponent 0.9) with aggregate demand total.
+func zipfDemand(inst *model.Instance, total float64) {
+	var sum float64
+	for u := range inst.Demand {
+		for f := range inst.Demand[u] {
+			inst.Demand[u][f] /= math.Pow(float64(f+1), 0.9)
+			sum += inst.Demand[u][f]
+		}
+	}
+	for u := range inst.Demand {
+		for f := range inst.Demand[u] {
+			inst.Demand[u][f] *= total / sum
+		}
+	}
+}
+
 // denseSlackScale builds an instance shaped like the dense-inproc benchmark
 // workload: N=6, U=60, F=150, ~60% links, C=30, B=2000, aggregate demand
 // 9000 with Zipf-like content skew. Unlike benchScale's paper-scale
@@ -56,18 +73,7 @@ func BenchmarkSweep(b *testing.B) {
 // few.
 func denseSlackScale() *model.Instance {
 	inst := benchScale(6, 60, 150)
-	var total float64
-	for u := range inst.Demand {
-		for f := range inst.Demand[u] {
-			inst.Demand[u][f] /= math.Pow(float64(f+1), 0.9)
-			total += inst.Demand[u][f]
-		}
-	}
-	for u := range inst.Demand {
-		for f := range inst.Demand[u] {
-			inst.Demand[u][f] *= 9000 / total
-		}
-	}
+	zipfDemand(inst, 9000)
 	for n := 0; n < inst.N; n++ {
 		inst.CacheCap[n] = 30
 		inst.Bandwidth[n] = 2000
@@ -75,11 +81,38 @@ func denseSlackScale() *model.Instance {
 	return inst
 }
 
+// sparseBindingScale builds an instance shaped like the sparse-inproc
+// benchmark workload: N=50, U=200, F=120, each SBS linked to 8 MUs, every
+// (u,f) pair demanded, C=12, B=200, aggregate demand 20000 with Zipf-like
+// content skew. An SBS has 960 items, and the budget binds.
+func sparseBindingScale() *model.Instance {
+	inst := benchScale(50, 200, 120)
+	rng := rand.New(rand.NewSource(98))
+	for n := 0; n < inst.N; n++ {
+		clear(inst.Links[n])
+		for _, u := range rng.Perm(inst.U)[:8] {
+			inst.Links[n][u] = true
+		}
+		inst.CacheCap[n] = 12
+		inst.Bandwidth[n] = 200
+	}
+	for u := range inst.Demand {
+		for f := range inst.Demand[u] {
+			if inst.Demand[u][f] == 0 {
+				inst.Demand[u][f] = 1 + rng.Float64()*19
+			}
+		}
+	}
+	zipfDemand(inst, 20000)
+	return inst
+}
+
 // BenchmarkSubproblemSolveCore measures one warm P_n solve — the inner loop
-// of every sweep. "paper_binding" is the paper scale, where the bandwidth
-// budget binds after a few items and the dual loop's knapsack fill
-// dominates; "dense_slack" is the dense-inproc shape, where the budget is
-// slack and primal recovery's exact-routing probes dominate.
+// of every sweep. "paper_binding" is the paper scale and "sparse_binding"
+// one SBS of the sparse-inproc shape, where the bandwidth budget binds
+// after a few items; "dense_slack" is the dense-inproc shape, where the
+// budget is slack. On all three the dual loop dominates: the cache
+// searches of primal recovery walk only candidates that can win.
 func BenchmarkSubproblemSolveCore(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -87,6 +120,7 @@ func BenchmarkSubproblemSolveCore(b *testing.B) {
 	}{
 		{"paper_binding", benchScale(3, 30, 50)},
 		{"dense_slack", denseSlackScale()},
+		{"sparse_binding", sparseBindingScale()},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			sub, err := NewSubproblem(tc.inst, 0, DefaultSubproblemConfig())

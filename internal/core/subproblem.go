@@ -118,8 +118,8 @@ type solveWorkspace struct {
 	mu       []float64 // dual multipliers
 	yDual    []float64 // routing iterate of the dual loop
 	score    []float64 // per-content multiplier mass (len F)
-	scoreIdx []int     // cachingStep sort buffer (cap F)
-	heap     ratioHeap // routingStep eligible items and their ratios w/λ
+	scoreTop []int     // cachingStep's best contents (cap F)
+	heap     ratioHeap // routingStep's eligible items (cap items)
 	xStep    []bool    // cachingStep output (len F)
 	greedyX  []bool    // greedyCache output (len F)
 	workX    []bool    // localSearch mutation buffer (len F)
@@ -136,8 +136,6 @@ type solveWorkspace struct {
 	prune bool
 	// walks counts oracle walks, for tests of the pruning.
 	walks int
-
-	scoreSorter scoreSorter
 }
 
 // NewSubproblem builds the solver for SBS n.
@@ -210,8 +208,8 @@ func NewSubproblem(inst *model.Instance, n int, cfg SubproblemConfig) (*Subprobl
 		mu:       make([]float64, ni),
 		yDual:    make([]float64, ni),
 		score:    make([]float64, inst.F),
-		scoreIdx: make([]int, 0, inst.F),
-		heap:     ratioHeap{idx: make([]int, 0, ni), ratio: make([]float64, ni)},
+		scoreTop: make([]int, 0, inst.F),
+		heap:     make(ratioHeap, 0, ni),
 		xStep:    make([]bool, inst.F),
 		greedyX:  make([]bool, inst.F),
 		workX:    make([]bool, inst.F),
@@ -270,46 +268,30 @@ func (s *Subproblem) Solve(yMinus model.Mat) (*Result, error) {
 		caps[i] = clamp01(1 - yMinus.At(it.u, it.f))
 	}
 
-	// Dual loop (eq. 21-23).
-	mu := ws.mu // μ_uf ≥ 0, one per servable pair
-	for i := range mu {
-		mu[i] = 0
-	}
-	y := ws.yDual
-	scoreBuf := ws.score
+	// Dual loop (eq. 21-23). Each iteration makes one pass over the items:
+	// dualPass updates μ and prepares the next iteration's scores, y and
+	// knapsack entries. The setup pass is dualPass at μ = 0, y = 0, x = ∅
+	// and η = 0, which leaves μ at 0.
 	ws.pool.reset()
+	clear(ws.mu)
+	clear(ws.yDual)
+	clear(ws.xStep)
+	s.dualPass(ws.xStep, caps, 0)
 	iters := 0
 	for k := 0; k < s.cfg.DualIters; k++ {
 		iters++
 		// Caching sub-problem (eq. 18): maximize Σ_f x_f·Σ_u μ_uf under
 		// Σ x_f ≤ C_n — integral greedy over per-content scores.
-		for f := range scoreBuf {
-			scoreBuf[f] = 0
-		}
-		for i, it := range s.items {
-			scoreBuf[it.f] += mu[i]
-		}
-		x := s.cachingStep(scoreBuf)
+		x := s.cachingStep(ws.score)
 		ws.pool.add(x)
 
 		// Routing sub-problem (eq. 20): fractional knapsack with
 		// coefficients w = (d−d̂)·λ + μ over the bandwidth budget.
-		s.routingStep(y, mu, caps)
+		s.routingStep(caps)
 
 		// Projected sub-gradient update μ ← [μ + η·(y − x)]⁺ (eq. 21-23).
 		eta := s.stepScale / (1 + s.cfg.Alpha*float64(k))
-		done := true
-		for i, it := range s.items {
-			g := y[i]
-			if x[it.f] {
-				g -= 1
-			}
-			if g > 1e-9 {
-				done = false
-			}
-			mu[i] = math.Max(0, mu[i]+eta*g)
-		}
-		if done && k >= 1 {
+		if done := s.dualPass(x, caps, eta); done && k >= 1 {
 			// The relaxed constraint y ≤ x holds, so the current primal
 			// pair is feasible; further dual iterations cannot improve it.
 			break
@@ -347,33 +329,70 @@ func (s *Subproblem) RestoreMultipliers(mu []float64) error {
 	return nil
 }
 
+// dualPass is one pass over the items in item order. It applies the
+// projected sub-gradient update μ ← [μ + η·(y − x)]⁺ (eq. 21-23) and
+// reports whether y ≤ x held within 1e-9. With the new μ it also prepares
+// the next iteration: score[f] = Σ_u μ_uf summed in item order, y = 0, and
+// the knapsack entries of every item with w = −gain + μ < 0 and capacity.
+func (s *Subproblem) dualPass(x []bool, caps []float64, eta float64) (done bool) {
+	ws := &s.ws
+	mu, y, score := ws.mu, ws.yDual, ws.score
+	clear(score)
+	entries := ws.heap[:0]
+	done = true
+	for i, it := range s.items {
+		g := y[i]
+		if x[it.f] {
+			g -= 1
+		}
+		if g > 1e-9 {
+			done = false
+		}
+		m := max(0, mu[i]+eta*g)
+		mu[i] = m
+		score[it.f] += m
+		y[i] = 0
+		if w := -it.gain + m; w < 0 && caps[i] > 0 {
+			entries = append(entries, ratioEntry{ratio: w / it.lambda, i: i})
+		}
+	}
+	ws.heap = entries
+	return done
+}
+
 // cachingStep solves eq. 18: pick the C_n contents with the largest
-// positive multiplier mass. Ties at zero are left uncached (they earn
-// nothing in the dual); primal recovery fills free capacity greedily. The
-// returned vector is the workspace's xStep buffer.
+// positive multiplier mass, ties to the lower index. Ties at zero are left
+// uncached (they earn nothing in the dual); primal recovery fills free
+// capacity greedily. The returned vector is the workspace's xStep buffer.
 func (s *Subproblem) cachingStep(score []float64) []bool {
 	ws := &s.ws
 	x := ws.xStep
-	for f := range x {
-		x[f] = false
-	}
+	clear(x)
 	capN := s.inst.CacheCap[s.n]
 	if capN == 0 {
 		return x
 	}
-	idx := ws.scoreIdx[:0]
+	// top holds the best contents so far, by score descending, ties by
+	// index. f exceeds every index in it, so f loses every tie.
+	top := ws.scoreTop[:0]
 	for f, sc := range score {
-		if sc > 0 {
-			idx = append(idx, f)
+		if !(sc > 0) {
+			continue
 		}
+		if len(top) == capN {
+			if !(sc > score[top[capN-1]]) {
+				continue
+			}
+			top = top[:capN-1]
+		}
+		j := len(top)
+		top = append(top, f)
+		for ; j > 0 && score[top[j-1]] < sc; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = f
 	}
-	ws.scoreSorter.idx = idx
-	ws.scoreSorter.score = score
-	sort.Sort(&ws.scoreSorter)
-	if len(idx) > capN {
-		idx = idx[:capN]
-	}
-	for _, f := range idx {
+	for _, f := range top {
 		x[f] = true
 	}
 	return x
@@ -382,24 +401,15 @@ func (s *Subproblem) cachingStep(score []float64) []bool {
 // routingStep solves eq. 20 in place: minimize Σ (w_i)·y_i with
 // w_i = −gain_i + μ_i, subject to Σ λ_i·y_i ≤ B_n and 0 ≤ y_i ≤ caps_i.
 // Only negative-coefficient items are worth serving; the optimal solution
-// of this LP fills them in increasing w/λ order (fractional knapsack). The
-// budget runs out after a handful of items, so the order is drawn lazily
-// from a min-heap instead of sorting every eligible item.
-func (s *Subproblem) routingStep(y, mu, caps []float64) {
-	h := &s.ws.heap
-	eligible := h.idx[:0]
-	for i := range s.items {
-		y[i] = 0
-		w := -s.items[i].gain + mu[i]
-		if w < 0 && caps[i] > 0 {
-			h.ratio[i] = w / s.items[i].lambda
-			eligible = append(eligible, i)
-		}
-	}
-	h.idx = eligible
+// of this LP fills them in increasing w/λ order (fractional knapsack).
+// dualPass has already zeroed y and collected those items into the heap,
+// so the order is drawn lazily from it instead of sorting every eligible
+// item. The fill goes to the workspace's yDual buffer.
+func (s *Subproblem) routingStep(caps []float64) {
+	y, h := s.ws.yDual, &s.ws.heap
 	h.init()
 	budget := s.inst.Bandwidth[s.n]
-	for len(h.idx) > 0 {
+	for len(*h) > 0 {
 		if budget <= 0 {
 			break
 		}
@@ -777,41 +787,27 @@ func boolsEqual(a, b []bool) bool {
 	return true
 }
 
-// scoreSorter orders content indices by score descending, ties by index.
-type scoreSorter struct {
-	idx   []int
-	score []float64
+// ratioEntry is one eligible knapsack item and its ratio w/λ.
+type ratioEntry struct {
+	ratio float64
+	i     int
 }
 
-func (s *scoreSorter) Len() int { return len(s.idx) }
-func (s *scoreSorter) Less(a, b int) bool {
-	ia, ib := s.idx[a], s.idx[b]
-	if s.score[ia] != s.score[ib] { //edgecache:lint-ignore floateq sort comparator must be a strict weak order; epsilon ties would break transitivity
-		return s.score[ia] > s.score[ib]
-	}
-	return ia < ib
-}
-func (s *scoreSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
-// ratioHeap is an in-place binary min-heap of item indices under the
-// strict total order (ratio ascending, then index ascending): popping it
-// empty yields exactly the sorted order, so a fill that stops early sees
+// ratioHeap is an in-place binary min-heap of knapsack entries under the
+// strict total order (ratio ascending, then item index ascending): popping
+// it empty yields exactly the sorted order, so a fill that stops early sees
 // the same prefix a full sort would give.
-type ratioHeap struct {
-	idx   []int
-	ratio []float64
-}
+type ratioHeap []ratioEntry
 
-func (h *ratioHeap) less(a, b int) bool {
-	ia, ib := h.idx[a], h.idx[b]
-	if h.ratio[ia] != h.ratio[ib] { //edgecache:lint-ignore floateq heap order must be a strict total order; epsilon ties would break transitivity
-		return h.ratio[ia] < h.ratio[ib]
+func (h ratioHeap) less(a, b int) bool {
+	if h[a].ratio != h[b].ratio { //edgecache:lint-ignore floateq heap order must be a strict total order; epsilon ties would break transitivity
+		return h[a].ratio < h[b].ratio
 	}
-	return ia < ib
+	return h[a].i < h[b].i
 }
 
-func (h *ratioHeap) down(i int) {
-	n := len(h.idx)
+func (h ratioHeap) down(i int) {
+	n := len(h)
 	for {
 		m := 2*i + 1
 		if m >= n {
@@ -823,23 +819,24 @@ func (h *ratioHeap) down(i int) {
 		if !h.less(m, i) {
 			return
 		}
-		h.idx[i], h.idx[m] = h.idx[m], h.idx[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
 }
 
-func (h *ratioHeap) init() {
-	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+func (h ratioHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
-// pop removes and returns the smallest item index.
+// pop removes the smallest entry and returns its item index.
 func (h *ratioHeap) pop() int {
-	top := h.idx[0]
-	last := len(h.idx) - 1
-	h.idx[0] = h.idx[last]
-	h.idx = h.idx[:last]
+	old := *h
+	top := old[0].i
+	last := len(old) - 1
+	old[0] = old[last]
+	*h = old[:last]
 	h.down(0)
 	return top
 }

@@ -607,6 +607,11 @@ func decodeKernelCase(data []byte) *kernelCase {
 // checkKernels asserts that both production kernels reproduce their
 // references bit for bit: the oracle with a routing buffer (pre-filled
 // with garbage it must clear) and gain-only, and the heap-based dual fill.
+// The dual fill's entries come from dualPass at y = 0, x = ∅ and η = 0,
+// which sets μ to max(0, c.mu) and collects the items eligible under it;
+// the reference fills under that μ. The dual loop never holds a negative
+// μ, and no negative c.mu makes an item eligible: it only occurs on items
+// with gain ≤ 0, where −gain + μ ≥ 0 either way.
 func checkKernels(t *testing.T, c *kernelCase) (ref refFill, dupRatio bool) {
 	t.Helper()
 	s := c.sub
@@ -627,15 +632,16 @@ func checkKernels(t *testing.T, c *kernelCase) (ref refFill, dupRatio bool) {
 			t.Fatalf("oracle y[%d] = %v, reference %v", i, y[i], ref.y[i])
 		}
 	}
-	wantDual, dupRatio := refRoutingStep(s, c.mu, c.caps)
-	yDual := make([]float64, len(s.items))
-	for i := range yDual {
-		yDual[i] = math.NaN()
-	}
-	s.routingStep(yDual, c.mu, c.caps)
-	for i := range yDual {
-		if math.Float64bits(yDual[i]) != math.Float64bits(wantDual[i]) {
-			t.Fatalf("dual fill y[%d] = %v, reference %v", i, yDual[i], wantDual[i])
+	ws := &s.ws
+	copy(ws.mu, c.mu)
+	clear(ws.yDual)
+	clear(ws.xStep)
+	s.dualPass(ws.xStep, c.caps, 0)
+	wantDual, dupRatio := refRoutingStep(s, ws.mu, c.caps)
+	s.routingStep(c.caps)
+	for i, yi := range ws.yDual {
+		if math.Float64bits(yi) != math.Float64bits(wantDual[i]) {
+			t.Fatalf("dual fill y[%d] = %v, reference %v", i, yi, wantDual[i])
 		}
 	}
 	return ref, dupRatio
@@ -728,6 +734,311 @@ func FuzzRoutingKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c := decodeKernelCase(data); c != nil {
 			checkKernels(t, c)
+		}
+	})
+}
+
+// refCachingStep is the caching step the top-C_n select replaced: every
+// positive-score content sorted by (score desc, index asc), the first C_n
+// cached. It returns a fresh vector and the sorted contents.
+func refCachingStep(s *Subproblem, score []float64) (x []bool, sorted []int) {
+	x = make([]bool, s.inst.F)
+	for f, sc := range score {
+		if sc > 0 {
+			sorted = append(sorted, f)
+		}
+	}
+	sort.Slice(sorted, func(a, b int) bool {
+		fa, fb := sorted[a], sorted[b]
+		if score[fa] != score[fb] {
+			return score[fa] > score[fb]
+		}
+		return fa < fb
+	})
+	for _, f := range sorted[:min(len(sorted), s.inst.CacheCap[s.n])] {
+		x[f] = true
+	}
+	return x, sorted
+}
+
+// dualStats is what refDualLoop observed across its caching steps.
+type dualStats struct {
+	iters int
+	// equalScores: two positive scores tied; tieAtCut: the C_n-th and
+	// (C_n+1)-th best tied, so the index decided which is cached.
+	equalScores, tieAtCut bool
+	// capCovers: 0 < positive scores ≤ C_n; capCuts: C_n < positive scores.
+	capCovers, capCuts bool
+}
+
+// refDualLoop is Solve's dual loop before it was fused into one pass per
+// iteration, kept as the reference it must match bit for bit: per
+// iteration a score pass, the sorting caching step, the full-scan full-sort
+// knapsack fill and a separate μ update. It runs on sub's workspace — μ,
+// scores and candidate pool — and leaves the scores of the final μ in
+// ws.score, as the fused loop does.
+func refDualLoop(sub *Subproblem, caps []float64) dualStats {
+	ws := &sub.ws
+	mu, score := ws.mu, ws.score
+	for i := range mu {
+		mu[i] = 0
+	}
+	sumScores := func() {
+		for f := range score {
+			score[f] = 0
+		}
+		for i, it := range sub.items {
+			score[it.f] += mu[i]
+		}
+	}
+	ws.pool.reset()
+	var st dualStats
+	capN := sub.inst.CacheCap[sub.n]
+	for k := 0; k < sub.cfg.DualIters; k++ {
+		st.iters++
+		sumScores()
+		x, sorted := refCachingStep(sub, score)
+		for j := 1; j < len(sorted); j++ {
+			if score[sorted[j]] == score[sorted[j-1]] {
+				st.equalScores = true
+				st.tieAtCut = st.tieAtCut || j == capN
+			}
+		}
+		st.capCovers = st.capCovers || (len(sorted) > 0 && len(sorted) <= capN)
+		st.capCuts = st.capCuts || len(sorted) > capN
+		ws.pool.add(x)
+		y, _ := refRoutingStep(sub, mu, caps)
+		eta := sub.stepScale / (1 + sub.cfg.Alpha*float64(k))
+		done := true
+		for i, it := range sub.items {
+			g := y[i]
+			if x[it.f] {
+				g -= 1
+			}
+			if g > 1e-9 {
+				done = false
+			}
+			mu[i] = math.Max(0, mu[i]+eta*g)
+		}
+		if done && k >= 1 {
+			break
+		}
+	}
+	sumScores()
+	return st
+}
+
+// dualCase is one single-SBS sub-problem and the aggregate routing of the
+// other SBSs it is solved against.
+type dualCase struct {
+	inst   *model.Instance
+	cfg    SubproblemConfig
+	yMinus model.Mat
+}
+
+// decodeDualCase deterministically maps bytes onto a dualCase (nil when
+// too few bytes). Costs, demands and capacities come from small discrete
+// sets and demand columns are often duplicated, so score ties are common;
+// y_{-n} entries of 1 and NaN give caps of 0 and NaN.
+func decodeDualCase(data []byte) *dualCase {
+	if len(data) < 4 {
+		return nil
+	}
+	pos := 0
+	next := func() int {
+		b := data[pos%len(data)]
+		pos++
+		return int(b)
+	}
+	nu, nf := next()%6+1, next()%9+1
+	inst := &model.Instance{
+		N: 1, U: nu, F: nf,
+		Demand:    make([][]float64, nu),
+		Links:     [][]bool{make([]bool, nu)},
+		CacheCap:  []int{0},
+		Bandwidth: []float64{0},
+		EdgeCost:  [][]float64{make([]float64, nu)},
+		BSCost:    make([]float64, nu),
+	}
+	for u := 0; u < nu; u++ {
+		inst.BSCost[u] = float64(1+next()%4) * 25
+		inst.EdgeCost[0][u] = float64(next()%3) * 20
+		inst.Links[0][u] = next()%5 != 0
+		inst.Demand[u] = make([]float64, nf)
+		for f := range inst.Demand[u] {
+			d := float64(next() % 5)
+			if d > 0 && next()%3 == 0 {
+				d += float64(next()) / 256
+			}
+			inst.Demand[u][f] = d
+		}
+	}
+	for dup := next() % 3; dup > 0 && nf > 1; dup-- {
+		// A duplicated demand column: two contents tie exactly everywhere.
+		src, dst := next()%nf, next()%nf
+		for u := range inst.Demand {
+			inst.Demand[u][dst] = inst.Demand[u][src]
+		}
+	}
+	switch next() % 5 {
+	case 0:
+		inst.CacheCap[0] = 0
+	case 1:
+		inst.CacheCap[0] = nf + 1 + next()%2
+	default:
+		inst.CacheCap[0] = 1 + next()%nf
+	}
+	var total float64
+	for u := range inst.Demand {
+		for _, d := range inst.Demand[u] {
+			total += d
+		}
+	}
+	switch next() % 4 {
+	case 0:
+		inst.Bandwidth[0] = 0
+	case 1:
+		inst.Bandwidth[0] = 2*total + 1
+	default:
+		inst.Bandwidth[0] = total * float64(next()) / 256
+	}
+	c := &dualCase{inst: inst, yMinus: inst.NewUFMat()}
+	for i := range c.yMinus.Data {
+		switch next() % 8 {
+		case 0:
+			c.yMinus.Data[i] = 1
+		case 1:
+			c.yMinus.Data[i] = 0.5
+		case 2:
+			c.yMinus.Data[i] = float64(next()) / 255
+		case 3:
+			if next()%8 == 0 {
+				c.yMinus.Data[i] = math.NaN()
+			}
+		}
+	}
+	c.cfg = SubproblemConfig{DualIters: []int{1, 2, 7, 60}[next()%4]}
+	return c
+}
+
+// checkDualLoop solves c with Solve and with refDualLoop plus the same
+// primal recovery, on two Subproblems, and asserts bit-equal μ, scores of
+// the final μ, candidate pool, iteration count and Result.
+func checkDualLoop(t testing.TB, c *dualCase) dualStats {
+	t.Helper()
+	sub, err := NewSubproblem(c.inst, 0, c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewSubproblem(c.inst, 0, c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Garbage in the dual workspace, which Solve must not read.
+	for i := range sub.ws.mu {
+		sub.ws.mu[i], sub.ws.yDual[i] = math.NaN(), math.NaN()
+	}
+	got, err := sub.Solve(c.yMinus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := capsFor(ref, c.yMinus)
+	st := refDualLoop(ref, caps)
+	want := ref.recoverPrimal(caps)
+	want.DualIters = st.iters
+
+	sameBits := func(what string, a, b []float64) {
+		t.Helper()
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d] = %v, reference %v", what, i, a[i], b[i])
+			}
+		}
+	}
+	sameBits("mu", sub.ws.mu, ref.ws.mu)
+	sameBits("score", sub.ws.score, ref.ws.score)
+	if sub.ws.pool.n != ref.ws.pool.n {
+		t.Fatalf("candidate pool holds %d vectors, reference %d", sub.ws.pool.n, ref.ws.pool.n)
+	}
+	for k := 0; k < ref.ws.pool.n; k++ {
+		if !boolsEqual(sub.ws.pool.list[k], ref.ws.pool.list[k]) {
+			t.Fatalf("candidate %d = %v, reference %v", k, members(sub.ws.pool.list[k]), members(ref.ws.pool.list[k]))
+		}
+	}
+	if got.DualIters != want.DualIters {
+		t.Fatalf("DualIters = %d, reference %d", got.DualIters, want.DualIters)
+	}
+	if !boolsEqual(got.Cache, want.Cache) {
+		t.Fatalf("cache %v, reference %v", members(got.Cache), members(want.Cache))
+	}
+	sameBits("gain", []float64{got.Gain}, []float64{want.Gain})
+	sameBits("routing", got.Routing.Data, want.Routing.Data)
+	return st
+}
+
+// TestDualLoopMatchesReference is the differential test of the fused dual
+// loop against the three-pass loop it replaced, over random byte-decoded
+// cases. It also asserts that the draw exercised each edge case the
+// caching select and the fused pass must get right.
+func TestDualLoopMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	hit := map[string]int{}
+	const cases = 2000
+	for k := 0; k < cases; k++ {
+		data := make([]byte, 8+rng.Intn(200))
+		rng.Read(data)
+		c := decodeDualCase(data)
+		st := checkDualLoop(t, c)
+
+		if st.equalScores {
+			hit["equal scores"]++
+		}
+		if st.tieAtCut {
+			hit["equal scores at the C_n cut"]++
+		}
+		if st.capCovers {
+			hit["C_n >= positive scores"]++
+		}
+		if st.capCuts {
+			hit["C_n < positive scores"]++
+		}
+		if st.iters < c.cfg.DualIters {
+			hit["early done break"]++
+		}
+		switch capN := c.inst.CacheCap[0]; {
+		case capN == 0:
+			hit["C_n = 0"]++
+		case capN > c.inst.F:
+			hit["C_n > F"]++
+		}
+		for _, v := range c.yMinus.Data {
+			switch {
+			case math.IsNaN(v):
+				hit["NaN caps"]++
+			case v >= 1:
+				hit["caps <= 0"]++
+			}
+		}
+	}
+	for _, want := range []string{
+		"equal scores", "equal scores at the C_n cut", "C_n >= positive scores", "C_n < positive scores",
+		"early done break", "C_n = 0", "C_n > F", "NaN caps", "caps <= 0",
+	} {
+		if hit[want] == 0 {
+			t.Errorf("%d cases never exercised %q", cases, want)
+		}
+	}
+	t.Logf("edge-case coverage over %d cases: %v", cases, hit)
+}
+
+// FuzzDualLoop extends the dual-loop differential test to fuzzer-chosen
+// cases. Run longer sessions with
+// `go test -fuzz=FuzzDualLoop ./internal/core`.
+func FuzzDualLoop(f *testing.F) {
+	f.Add([]byte{3, 5, 1, 2, 1, 2, 3, 4, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if c := decodeDualCase(data); c != nil {
+			checkDualLoop(t, c)
 		}
 	})
 }
