@@ -83,7 +83,7 @@ func run(args []string) error {
 		saveSol     = fs.String("save-solution", "", "write the final solution as JSON")
 		validate    = fs.Bool("validate", false, "packet-level replay of the solved policy (fluid-model check)")
 		ckptDir     = fs.String("checkpoint-dir", "", "snapshot sweep state into this directory at every sweep boundary (in-process mode)")
-		ckptRetain  = fs.Int("checkpoint-retain", 3, "how many snapshots -checkpoint-dir keeps (0 keeps all)")
+		ckptRetain  = fs.Int("checkpoint-retain", 3, "how many snapshots -checkpoint-dir keeps (0 or less keeps the store default, 5)")
 		resume      = fs.Bool("resume", false, "continue from the newest snapshot in -checkpoint-dir instead of starting cold")
 		clusterMode = fs.Bool("cluster", false, "supervise a multi-process cluster per the -cells spec")
 		cellsPath   = fs.String("cells", "", "cluster spec JSON for -cluster")
@@ -277,7 +277,7 @@ func run(args []string) error {
 				cfg.Privacy.Rng = nil
 				cfg.Privacy.Noise = core.NewNoiseSource(*seed * 1000)
 			}
-			cfg.Checkpoint = &core.CheckpointConfig{Sink: store, EverySweeps: 1}
+			cfg.Checkpoint = &core.CheckpointConfig{Sink: store}
 		}
 		var coord *core.Coordinator
 		coord, err = core.NewCoordinator(inst, cfg)

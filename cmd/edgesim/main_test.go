@@ -46,6 +46,27 @@ func TestRunChaos(t *testing.T) {
 	}
 }
 
+// TestRunCheckpointRetainZeroKeepsStoreDefault pins what
+// -checkpoint-retain 0 means: not "keep all" but the store's default of
+// five snapshots, the newest ones.
+func TestRunCheckpointRetainZeroKeepsStoreDefault(t *testing.T) {
+	dir := t.TempDir()
+	if err := run(smallArgs("-epsilon", "0.1", "-checkpoint-dir", dir, "-checkpoint-retain", "0")); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 5 {
+		t.Fatalf("kept %d snapshots, want 5: %v", len(names), names)
+	}
+	// Glob sorts, and the zero-padded names sort chronologically.
+	if newest := filepath.Base(names[4]); newest <= "ckpt-00000005-0000.ckpt" {
+		t.Fatalf("newest snapshot %s: the run needs more than five sweep boundaries to show pruning", newest)
+	}
+}
+
 func TestRunWithRestarts(t *testing.T) {
 	if err := run(smallArgs("-restarts", "2")); err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func TestBSCrashUnderLoss(t *testing.T) {
 			ProbeTimeout:    150 * time.Millisecond,
 			AnnounceRetries: 5,
 			MaxSweeps:       40,
-			Checkpoint:      &core.CheckpointConfig{Sink: store, EverySweeps: 1},
+			Checkpoint:      &core.CheckpointConfig{Sink: store},
 		},
 		Sub:      core.DefaultSubproblemConfig(),
 		Schedule: sched,

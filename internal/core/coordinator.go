@@ -166,11 +166,9 @@ type Config struct {
 
 // CheckpointConfig tunes snapshot capture.
 type CheckpointConfig struct {
-	// Sink receives every snapshot. Required.
+	// Sink receives every snapshot: one at each sweep boundary the run
+	// continues past. Required.
 	Sink model.CheckpointSink
-	// EverySweeps is the sweep-boundary capture cadence; 0 means every
-	// sweep.
-	EverySweeps int
 	// EachPhase additionally captures after every phase inside a sweep, so
 	// a resume can continue mid-sweep. More snapshots, same guarantee.
 	EachPhase bool
@@ -317,7 +315,7 @@ func NewCoordinator(inst *model.Instance, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("core: checkpointing is incompatible with Restarts > 0: a snapshot records a single trajectory")
 		}
 		if ck.EachPhase && cfg.Engine != EngineGaussSeidel {
-			return nil, fmt.Errorf("core: per-phase checkpoints need mid-sweep resume points; a %v round is atomic (use sweep-boundary cadence)", cfg.Engine)
+			return nil, fmt.Errorf("core: per-phase checkpoints need mid-sweep resume points; a %v round is atomic (use sweep-boundary snapshots)", cfg.Engine)
 		}
 		if cfg.Privacy != nil && (cfg.Privacy.Noise == nil || cfg.Privacy.Rng != nil) {
 			return nil, fmt.Errorf("core: checkpointing a private run requires Privacy.Noise alone (a seekable noise source); a bare Rng has no capturable position")
@@ -379,13 +377,15 @@ func (c *Coordinator) Run() (*RunResult, error) {
 
 // Resume continues a run from a snapshot. The resumed trajectory — cost
 // history, final cost and policies — is bit-identical to the uninterrupted
-// run's, because the solver is deterministic, the snapshot carries the
-// tracker's exact running sums, and (with privacy) the noise stream is
-// repositioned to the recorded draw count. The coordinator must be built
-// with the same instance and configuration as the crashed run; the engine
-// must be of the same family as the one that took the snapshot (the
-// reference and parallel Jacobi engines are interchangeable, Gauss-Seidel
-// is not interchangeable with either).
+// run's, because the solver is deterministic and cold-starts its dual
+// multipliers every phase, the snapshot carries the tracker's exact
+// running sums, and (with privacy) the noise stream is repositioned to the
+// recorded draw count. The resumed run keeps snapshotting at every sweep
+// boundary (and phase, with EachPhase) past the resume point. The
+// coordinator must be built with the same instance and configuration as
+// the crashed run; the engine must be of the same family as the one that
+// took the snapshot (the reference and parallel Jacobi engines are
+// interchangeable, Gauss-Seidel is not interchangeable with either).
 func (c *Coordinator) Resume(ck *model.Checkpoint) (*RunResult, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")
@@ -414,59 +414,18 @@ func (c *Coordinator) Resume(ck *model.Checkpoint) (*RunResult, error) {
 		}
 		noise.SeekTo(ck.NoiseDraws)
 	}
-	// μ restoration is diagnostic (Solve cold-starts the dual loop), but
-	// it keeps the workspace byte-equal to the crashed process's.
-	for n, mu := range ck.Mu {
-		if len(mu) == 0 {
-			continue
-		}
-		if err := c.subs[n].RestoreMultipliers(mu); err != nil {
-			return nil, err
-		}
-	}
-	st := &SweepState{
-		Order:    append([]int(nil), ck.Order...),
-		Sweep:    ck.Sweep,
-		Phase:    ck.Phase,
-		X:        ck.Caching.Clone(),
-		Y:        ck.Routing.Clone(),
-		Tracker:  model.NewAggregateTracker(c.inst),
-		History:  append([]float64(nil), ck.History...),
-		PrevCost: ck.PrevCost,
-		Best:     ck.Best.Clone(),
-	}
-	st.Tracker.Restore(ck.Aggregate)
-	return c.runEngine(c.engine, st)
+	return c.runEngine(c.engine, RestoreSweepState(c.inst, ck))
 }
 
 // snapshot captures the current sweep state as of resume point
-// (sweep, phase) and hands it to the sink, recording which engine kind
-// produced the trajectory.
+// (sweep, phase), adds the noise stream's position when LPPM is on, and
+// hands it to the sink.
 func (c *Coordinator) snapshot(sink model.CheckpointSink, kind EngineKind, st *SweepState, res *RunResult, sweep, phase int) error {
-	ck := &model.Checkpoint{
-		Sweep:      sweep,
-		Phase:      phase,
-		Engine:     kind,
-		Order:      append([]int(nil), st.Order...),
-		Caching:    st.X.Clone(),
-		Routing:    st.Y.Clone(),
-		Aggregate:  st.Tracker.Aggregate().Clone(),
-		History:    append([]float64(nil), res.History...),
-		PrevCost:   st.PrevCost,
-		Best:       st.Best.Clone(),
-		Mu:         make([][]float64, c.inst.N),
-		InstanceFP: c.inst.Fingerprint(),
-	}
-	for n, sub := range c.subs {
-		ck.Mu[n] = sub.Multipliers()
-	}
+	ck := NewCheckpoint(c.inst, kind, st, res.History, sweep, phase)
 	if c.lppm != nil {
 		ck.HasNoise = true
 		ck.NoiseSeed, ck.NoiseDraws = c.cfg.Privacy.Noise.Pos()
 	}
-	// Checkpoints are local trusted state: raw μ never leaves the process
-	// and bit-identical resume requires the un-noised values (§V-C).
-	//edgecache:lint-ignore privflow checkpoint is local trusted state; raw multipliers are required for bit-identical resume and never cross the transport
 	if err := sink.Save(ck); err != nil {
 		return fmt.Errorf("core: checkpoint at sweep %d phase %d: %w", sweep, phase, err)
 	}

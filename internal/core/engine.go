@@ -30,7 +30,8 @@ const (
 
 // SweepState is everything a run carries between sweeps — the live
 // counterpart of a model.Checkpoint. NewSweepState builds the
-// iteration-zero state; Coordinator.Resume rebuilds one from a snapshot.
+// iteration-zero state; NewCheckpoint and RestoreSweepState convert it to
+// and from a snapshot.
 type SweepState struct {
 	// Order is the SBS update order of the run. Gauss-Seidel honours it;
 	// the Jacobi engines require the identity order (a Jacobi round has no
@@ -65,6 +66,47 @@ func NewSweepState(inst *model.Instance, order []int) *SweepState {
 		Tracker:  model.NewAggregateTracker(inst),
 		PrevCost: math.Inf(1),
 	}
+}
+
+// NewCheckpoint captures st as resume point (sweep, phase) of a run over
+// inst that engine kind produced; history is the cost trail so far. Every
+// slice is cloned, so the snapshot stays valid as the run goes on. The
+// deployment-specific sections — the LPPM noise position and the BS's
+// per-SBS health — are left for the caller to fill in.
+func NewCheckpoint(inst *model.Instance, kind EngineKind, st *SweepState, history []float64, sweep, phase int) *model.Checkpoint {
+	return &model.Checkpoint{
+		Sweep:      sweep,
+		Phase:      phase,
+		Engine:     kind,
+		Order:      append([]int(nil), st.Order...),
+		Caching:    st.X.Clone(),
+		Routing:    st.Y.Clone(),
+		Aggregate:  st.Tracker.Aggregate().Clone(),
+		History:    append([]float64(nil), history...),
+		PrevCost:   st.PrevCost,
+		Best:       st.Best.Clone(),
+		InstanceFP: inst.Fingerprint(),
+	}
+}
+
+// RestoreSweepState rebuilds the live sweep state a snapshot records,
+// cloning every slice so the run never writes into ck. The caller has
+// validated ck against inst; repositioning the noise stream and restoring
+// health records are its business too.
+func RestoreSweepState(inst *model.Instance, ck *model.Checkpoint) *SweepState {
+	st := &SweepState{
+		Order:    append([]int(nil), ck.Order...),
+		Sweep:    ck.Sweep,
+		Phase:    ck.Phase,
+		X:        ck.Caching.Clone(),
+		Y:        ck.Routing.Clone(),
+		Tracker:  model.NewAggregateTracker(inst),
+		History:  append([]float64(nil), ck.History...),
+		PrevCost: ck.PrevCost,
+		Best:     ck.Best.Clone(),
+	}
+	st.Tracker.Restore(ck.Aggregate)
+	return st
 }
 
 // identityOrder returns 0..n-1.
@@ -122,9 +164,10 @@ type Driver struct {
 	// sweep budget. Both must be set (Config.withDefaults does).
 	Gamma     float64
 	MaxSweeps int
-	// Checkpoint, when non-nil, sets the capture cadence; Snapshot must
-	// then be set and is called with the resume point (sweep, phase) to
-	// capture.
+	// Checkpoint, when non-nil, turns capture on: a snapshot at every
+	// sweep boundary the run continues past, plus one per phase with
+	// EachPhase. Snapshot must then be set and is called with the resume
+	// point (sweep, phase) to capture.
 	Checkpoint *CheckpointConfig
 	Snapshot   func(st *SweepState, res *RunResult, sweep, phase int) error
 	// HoldConvergence, when non-nil, is consulted after every sweep; a
@@ -145,10 +188,6 @@ type Driver struct {
 // the natural BS-side behaviour.
 func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 	res := &RunResult{History: st.History, Sweeps: len(st.History)}
-	every := 1
-	if d.Checkpoint != nil && d.Checkpoint.EverySweeps > 0 {
-		every = d.Checkpoint.EverySweeps
-	}
 	var phaseDone func(int) error
 	wc, _ := eng.(workCounter)
 	var prevSolves uint64
@@ -191,7 +230,7 @@ func (d *Driver) Run(eng SweepEngine, st *SweepState) (*RunResult, error) {
 			break
 		}
 		st.PrevCost = cost.Total
-		if d.Checkpoint != nil && (sweep+1)%every == 0 {
+		if d.Checkpoint != nil {
 			if err := d.Snapshot(st, res, sweep+1, 0); err != nil {
 				return nil, err
 			}

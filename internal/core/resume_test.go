@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -191,6 +193,56 @@ func TestResumePrivateRunBitIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeLegacyV2PrivateSnapshotBitIdentical resumes a snapshot the
+// version-2 codec wrote mid-sweep (sweep 3, phase 1) during a private run
+// (ε=0.1, δ=0.5, NoiseSource seed 77) over randomInstance(seed 61, 3, 6,
+// 8). The file still carries the raw μ block of that era — 13 of its 46
+// multipliers nonzero — which the decoder drops. Solve cold-starts μ
+// every phase, so the resumed trajectory must equal an uninterrupted run
+// bit for bit.
+func TestResumeLegacyV2PrivateSnapshotBitIdentical(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v2-private-midsweep.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := int(data[8]) | int(data[9])<<8; v != 2 {
+		t.Fatalf("fixture is version %d, want a version-2 snapshot", v)
+	}
+	ck, err := model.UnmarshalCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Sweep != 3 || ck.Phase != 1 || !ck.HasNoise {
+		t.Fatalf("fixture resume point %d/%d noise=%v, want a private mid-sweep snapshot", ck.Sweep, ck.Phase, ck.HasNoise)
+	}
+
+	rng := rand.New(rand.NewSource(61))
+	inst := randomInstance(rng, 3, 6, 8)
+	privateCfg := func() Config {
+		cfg := DefaultConfig()
+		cfg.MaxSweeps = 8
+		cfg.Privacy = &PrivacyConfig{Epsilon: 0.1, Delta: 0.5, Noise: NewNoiseSource(77)}
+		return cfg
+	}
+	full, err := NewCoordinator(inst, privateCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCoordinator(inst, privateCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.Resume(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitEqualResults(t, got, want, "legacy v2 private resume")
+}
+
 func TestResumeRejections(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	inst := randomInstance(rng, 3, 5, 6)
@@ -289,27 +341,5 @@ func TestNoiseSourcePositionAndSeek(t *testing.T) {
 	}
 	if far == 0 {
 		t.Fatal("no draws recorded before rewind")
-	}
-}
-
-func TestSubproblemMultiplierRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	inst := randomInstance(rng, 2, 4, 5)
-	sub, err := NewSubproblem(inst, 0, DefaultSubproblemConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sub.Solve(inst.NewUFMat()); err != nil {
-		t.Fatal(err)
-	}
-	mu := sub.Multipliers()
-	if len(mu) == 0 {
-		t.Fatal("no multipliers after a solve")
-	}
-	if err := sub.RestoreMultipliers(make([]float64, len(mu)+1)); err == nil {
-		t.Error("wrong-length multipliers accepted")
-	}
-	if err := sub.RestoreMultipliers(mu); err != nil {
-		t.Errorf("restore failed: %v", err)
 	}
 }

@@ -76,8 +76,8 @@ func BadLog() {
 // BadCheckpoint builds a checkpoint from raw values: the write through
 // ck's field taints the whole locally-built checkpoint (weak update).
 func BadCheckpoint(sink model.CheckpointSink) error {
-	ck := &model.Checkpoint{Mu: make([][]float64, 1)}
-	ck.Mu[0] = RawDemand()
+	ck := &model.Checkpoint{History: make([]float64, 1)}
+	ck.History[0] = RawDemand()[0]
 	return sink.Save(ck) // want `private data reaches checkpoint save`
 }
 

@@ -1,6 +1,9 @@
 package lint_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,6 +51,52 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range prog.Run(lint.Analyzers(), lint.DefaultSkip) {
 		t.Errorf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+	}
+}
+
+// TestNoPrivflowSuppressionsInProgramCode keeps privflow a gate rather
+// than a list of exceptions: no //edgecache:lint-ignore privflow directive
+// may exist anywhere in the repository except in internal/lint's own
+// tests and fixtures. Private data that must reach a sink passes an LPPM
+// sanitizer; data that need not reach it is not written.
+func TestNoPrivflowSuppressionsInProgramCode(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if d.Name() == ".git" || rel == "internal/lint/fixtures" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") ||
+			(strings.HasPrefix(rel, "internal/lint/") && strings.HasSuffix(rel, "_test.go")) {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				fields := strings.Fields(c.Text)
+				if len(fields) >= 2 && fields[0] == "//edgecache:lint-ignore" && fields[1] == "privflow" {
+					t.Errorf("%s:%d: privflow suppression %q", rel, fset.Position(c.Pos()).Line, c.Text)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -34,9 +34,9 @@ import (
 //     `routing := res.Routing; if lppm != nil { routing, _ =
 //     lppm.Perturb(...) }` leaves routing clean — the analyzer trusts the
 //     nil-guard, because lppm == nil means privacy is configured off;
-//   - writes through a local's field/index (`ck.Mu[n] = raw`) taint the
-//     local as a whole (weak update), so building a checkpoint from raw μ
-//     taints the checkpoint value handed to Save;
+//   - writes through a local's field/index (`ck.History[i] = raw`) taint
+//     the local as a whole (weak update), so building a checkpoint from
+//     raw values taints the checkpoint value handed to Save;
 //   - stores into non-local state (receiver fields, SetSBS-style calls)
 //     are NOT tracked — heap flows are privflow's documented blind spot,
 //     exactly as interface dispatch is noalloc's. Egress code in this
@@ -289,8 +289,8 @@ type taintWalker struct {
 	reported map[token.Pos]bool
 	// locals are the variables declared inside the body under analysis.
 	// Weak updates (writes through a field/index) only taint these:
-	// `ck.Mu[n] = raw` taints the locally-built ck, while stores through
-	// parameters and receivers are the documented heap blind spot.
+	// `ck.History[i] = raw` taints the locally-built ck, while stores
+	// through parameters and receivers are the documented heap blind spot.
 	locals map[types.Object]bool
 }
 
@@ -519,7 +519,7 @@ func (w *taintWalker) walkAssign(s *ast.AssignStmt) {
 }
 
 // rootIdentObject resolves the identifier an lvalue is rooted at (`ck`
-// for `ck.Mu[n]`), unlike baseObject which prefers the field.
+// for `ck.History[i]`), unlike baseObject which prefers the field.
 func rootIdentObject(pkg *Package, e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {

@@ -10,11 +10,15 @@ import (
 // CRC-guarded binary snapshot of everything the DUA sweep (Algorithm 1)
 // needs to continue after a coordinator crash — iteration τ, the phase
 // cursor, both policies, the incremental aggregate, the cost history, the
-// dual multipliers, the LPPM noise-stream position and the per-SBS health
-// records of a distributed run.
+// LPPM noise-stream position and the per-SBS health records of a
+// distributed run — and nothing more.
 //
 // Design notes:
 //
+//   - The SBSs' dual multipliers μ are NOT stored. Subproblem.Solve
+//     cold-starts its dual loop (μ = 0) every phase, so μ is no part of
+//     the resume state, and μ is raw demand-derived data that LPPM never
+//     noises. Legacy snapshots' μ section is bounds-checked and dropped.
 //   - The aggregate is SERIALIZED, not rebuilt on resume. The tracker
 //     advances incrementally (YMinusInto/Install), and floating-point
 //     summation order differs between the incremental path and a full
@@ -30,11 +34,13 @@ import (
 const (
 	// checkpointMagic identifies a checkpoint file.
 	checkpointMagic = "EDGECKPT"
-	// checkpointVersion is the current format version. Version 2 added the
-	// engine-kind byte after the phase cursor; version-1 snapshots (which
-	// predate pluggable engines and were always Gauss-Seidel) still decode,
-	// with Engine defaulting to EngineGaussSeidel.
-	checkpointVersion = 2
+	// checkpointVersion is the current format version. Version 3 dropped
+	// the μ section (flag byte plus per-SBS vectors) after the best
+	// solution. Version 2 added the engine-kind byte after the phase
+	// cursor; version-1 snapshots (which predate pluggable engines and were
+	// always Gauss-Seidel) still decode, with Engine defaulting to
+	// EngineGaussSeidel. Both legacy versions decode with μ skipped.
+	checkpointVersion = 3
 	// maxCheckpointDim bounds each of N, U, F in a decoded checkpoint; a
 	// hostile header must not drive a huge allocation.
 	maxCheckpointDim = 1 << 20
@@ -90,10 +96,6 @@ type Checkpoint struct {
 	// Best is the cheapest solution seen so far (nil before the first
 	// completed sweep).
 	Best *Solution
-	// Mu holds each SBS's dual multipliers as left by its last Solve. The
-	// dual loop cold-starts every phase, so restoring μ is diagnostic
-	// completeness (and a warm-start hook), not a correctness requirement.
-	Mu [][]float64
 	// HasNoise records whether LPPM was active; NoiseSeed and NoiseDraws
 	// are then the noise stream's identity and position (see
 	// core.NoiseSource), making the privacy noise seekable on resume.
@@ -133,9 +135,6 @@ func (c *Checkpoint) preflight() error {
 	}
 	if err := validateOrder(c.Order, n); err != nil {
 		return err
-	}
-	if len(c.Mu) != 0 && len(c.Mu) != n {
-		return fmt.Errorf("model: checkpoint: %d multiplier vectors for N=%d", len(c.Mu), n)
 	}
 	if len(c.Health) != 0 && len(c.Health) != n {
 		return fmt.Errorf("model: checkpoint: %d health entries for N=%d", len(c.Health), n)
@@ -225,15 +224,6 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 		w.f64(c.Best.Cost.Total)
 	} else {
 		w.u8(0)
-	}
-	if len(c.Mu) == 0 {
-		w.u8(0)
-	} else {
-		w.u8(1)
-		for _, mu := range c.Mu {
-			w.u32(uint32(len(mu)))
-			w.f64s(mu)
-		}
 	}
 	w.u32(uint32(len(c.Health)))
 	for _, h := range c.Health {
@@ -351,14 +341,11 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, r.err
 	}
 
-	if r.u8("mu flag") != 0 && r.err == nil {
-		ck.Mu = make([][]float64, n)
-		for i := range ck.Mu {
-			muLen := r.count(fmt.Sprintf("mu[%d] length", i), 8)
-			ck.Mu[i] = r.f64s(int64(muLen), "mu vector")
-			if r.err != nil {
-				return nil, r.err
-			}
+	if version < 3 && r.u8("mu flag") != 0 {
+		// Legacy μ section: bounds-check each vector like any other
+		// section, then drop it without allocating.
+		for i := 0; i < n && r.err == nil; i++ {
+			r.take(int64(r.count("mu length", 8))*8, "mu vector")
 		}
 	}
 

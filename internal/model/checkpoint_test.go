@@ -15,7 +15,7 @@ import (
 )
 
 // testCheckpoint builds a fully-populated snapshot over testInstance(),
-// exercising every optional section (best, mu, noise, health).
+// exercising every optional section (best, noise, health).
 func testCheckpoint() *Checkpoint {
 	in := testInstance()
 	x := NewCachingPolicy(in)
@@ -38,7 +38,6 @@ func testCheckpoint() *Checkpoint {
 		History:    []float64{250.5, 210.25, 198.125},
 		PrevCost:   198.125,
 		Best:       &Solution{Caching: bx, Routing: by, Cost: CostBreakdown{Edge: 10.5, Backhaul: 187.625, Total: 198.125}},
-		Mu:         [][]float64{{0.25, 0.5, 0}, {1e-9}},
 		Engine:     EngineJacobi,
 		HasNoise:   true,
 		NoiseSeed:  42,
@@ -78,7 +77,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointRoundTripMinimal(t *testing.T) {
 	// A snapshot captured before the first sweep boundary: +Inf prevCost,
-	// no best, no mu, no health, no noise. The +Inf must survive exactly.
+	// no best, no health, no noise. The +Inf must survive exactly.
 	in := testInstance()
 	ck := &Checkpoint{
 		Order:     []int{0, 1},
@@ -98,7 +97,7 @@ func TestCheckpointRoundTripMinimal(t *testing.T) {
 	if !math.IsInf(got.PrevCost, 1) {
 		t.Errorf("PrevCost = %v, want +Inf", got.PrevCost)
 	}
-	if got.Best != nil || got.Mu != nil || got.Health != nil || got.HasNoise {
+	if got.Best != nil || got.Health != nil || got.HasNoise {
 		t.Errorf("optional sections materialized from nothing: %+v", got)
 	}
 }
@@ -206,7 +205,6 @@ func TestCheckpointPreflightErrors(t *testing.T) {
 		{"order too short", func(ck *Checkpoint) { ck.Order = []int{0} }},
 		{"phase out of range", func(ck *Checkpoint) { ck.Phase = 2 }},
 		{"negative sweep", func(ck *Checkpoint) { ck.Sweep = -1 }},
-		{"mu length", func(ck *Checkpoint) { ck.Mu = ck.Mu[:1] }},
 		{"health length", func(ck *Checkpoint) { ck.Health = ck.Health[:1] }},
 		{"best nil policy", func(ck *Checkpoint) { ck.Best = &Solution{} }},
 		{"aggregate shape", func(ck *Checkpoint) { ck.Aggregate = Mat{U: 1, F: 1, Data: []float64{0}} }},
@@ -494,36 +492,90 @@ func tryDecode(t *testing.T, data []byte) {
 	}
 }
 
-// engineByteOffset is where the version-2 engine-kind byte sits: after
-// magic, version, the three dims, the fingerprint and the sweep/phase
-// cursor.
+// engineByteOffset is where the engine-kind byte (versions 2 and up)
+// sits: after magic, version, the three dims, the fingerprint and the
+// sweep/phase cursor.
 const engineByteOffset = len(checkpointMagic) + 2 + 3*4 + 8 + 4 + 4
 
-// legacyV1Encode re-encodes ck in the version-1 layout (no engine byte) by
-// splicing the byte out of the current encoding and resealing the CRC. The
+// legacyMu is the μ section the version-1/2 fixtures carry: one vector
+// per SBS of testInstance(), as the old coordinator wrote them.
+var legacyMu = [][]float64{{0.25, 0.5, 0}, {1e-9}}
+
+// legacyEncode re-encodes ck in the layout of an older format version by
+// splicing the current encoding and resealing the CRC: version 1 and 2
+// gain the μ section (flag byte, then per SBS a u32 length and the
+// values; mu == nil writes flag 0) between the best solution and the
+// health section, and version 1 also loses the engine byte. A version-1
 // snapshot must be a Gauss-Seidel one — version 1 could express nothing
 // else.
-func legacyV1Encode(t *testing.T, ck *Checkpoint) []byte {
+func legacyEncode(t *testing.T, ck *Checkpoint, version uint16, mu [][]float64) []byte {
 	t.Helper()
-	if ck.Engine != EngineGaussSeidel {
+	if version != 1 && version != 2 {
+		t.Fatalf("no legacy layout for version %d", version)
+	}
+	if version == 1 && ck.Engine != EngineGaussSeidel {
 		t.Fatalf("version 1 cannot encode engine %v", ck.Engine)
 	}
 	data, err := ck.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := append([]byte(nil), data[:engineByteOffset]...)
-	v1 = append(v1, data[engineByteOffset+1:]...)
-	v1[len(checkpointMagic)] = 1
-	v1[len(checkpointMagic)+1] = 0
-	resealCRC(v1)
-	return v1
+	w := &ckptWriter{}
+	if mu == nil {
+		w.u8(0)
+	} else {
+		w.u8(1)
+		for _, v := range mu {
+			w.u32(uint32(len(v)))
+			w.f64s(v)
+		}
+	}
+	healthAt := len(data) - 4 - len(ck.Health)*healthEntrySize - 4
+	var out []byte
+	if version == 1 {
+		out = append(out, data[:engineByteOffset]...)
+		out = append(out, data[engineByteOffset+1:healthAt]...)
+	} else {
+		out = append(out, data[:healthAt]...)
+	}
+	out = append(out, w.buf...)
+	out = append(out, data[healthAt:]...)
+	out[len(checkpointMagic)] = byte(version)
+	out[len(checkpointMagic)+1] = 0
+	resealCRC(out)
+	return out
+}
+
+// checkLegacyMigration asserts that legacy decodes to want with μ
+// dropped, and that re-encoding it emits exactly want's current-version
+// bytes.
+func checkLegacyMigration(t *testing.T, legacy []byte, want *Checkpoint) {
+	t.Helper()
+	got, err := UnmarshalCheckpoint(legacy)
+	if err != nil {
+		t.Fatalf("legacy snapshot rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("legacy decode changed the snapshot:\n got %+v\nwant %+v", got, want)
+	}
+	migrated, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(migrated, current) {
+		t.Errorf("re-encoding the legacy snapshot gave %d bytes, want the %d-byte version-%d encoding",
+			len(migrated), len(current), checkpointVersion)
+	}
 }
 
 func TestCheckpointDecodeV1Legacy(t *testing.T) {
 	ck := testCheckpoint()
 	ck.Engine = EngineGaussSeidel
-	v1 := legacyV1Encode(t, ck)
+	v1 := legacyEncode(t, ck, 1, legacyMu)
 	got, err := UnmarshalCheckpoint(v1)
 	if err != nil {
 		t.Fatalf("version-1 snapshot rejected: %v", err)
@@ -531,20 +583,53 @@ func TestCheckpointDecodeV1Legacy(t *testing.T) {
 	if got.Engine != EngineGaussSeidel {
 		t.Errorf("version-1 snapshot decoded engine %v, want gauss-seidel", got.Engine)
 	}
-	if !reflect.DeepEqual(ck, got) {
-		t.Errorf("version-1 decode changed the snapshot:\n got %+v\nwant %+v", got, ck)
+	checkLegacyMigration(t, v1, ck)
+}
+
+func TestCheckpointDecodeV2LegacyDropsMu(t *testing.T) {
+	full := testCheckpoint()
+	minimal := &Checkpoint{
+		Order:     []int{1, 0},
+		Caching:   full.Caching,
+		Routing:   full.Routing,
+		Aggregate: full.Aggregate,
+		History:   []float64{}, // the decoder's form of an empty history
+		PrevCost:  math.Inf(1),
 	}
-	// Migration path: re-encoding emits version 2, which must round-trip.
-	migrated, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		ck   *Checkpoint
+		mu   [][]float64
+	}{
+		{"full, with mu", full, legacyMu},
+		{"full, empty mu vector", full, [][]float64{{}, {3, -0.0, math.Inf(1)}}},
+		{"full, mu flag 0", full, nil},
+		{"minimal, with mu", minimal, legacyMu},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkLegacyMigration(t, legacyEncode(t, tc.ck, 2, tc.mu), tc.ck)
+		})
 	}
-	again, err := UnmarshalCheckpoint(migrated)
-	if err != nil {
-		t.Fatalf("migrated snapshot rejected: %v", err)
+
+	// The μ block is bounds-checked before the decoder moves past it: an
+	// oversized vector length or a truncated block is rejected, never
+	// allocated or skipped into the health section.
+	v2 := legacyEncode(t, full, 2, legacyMu)
+	muAt := len(v2) - 4 - len(full.Health)*healthEntrySize - 4 - (1 + 2*4 + 4*8)
+	if v2[muAt] != 1 {
+		t.Fatalf("μ flag not at offset %d", muAt)
 	}
-	if !reflect.DeepEqual(got, again) {
-		t.Error("migrating the v1 snapshot to v2 changed its contents")
+	huge := append([]byte(nil), v2...)
+	huge[muAt+1], huge[muAt+2], huge[muAt+3], huge[muAt+4] = 0xff, 0xff, 0xff, 0xff
+	resealCRC(huge)
+	if _, err := UnmarshalCheckpoint(huge); err == nil || !strings.Contains(err.Error(), "mu length") {
+		t.Errorf("4 GiB mu length: got %v", err)
+	}
+	short := append([]byte(nil), v2[:muAt+1+4+8]...)
+	short = append(short, 0, 0, 0, 0)
+	resealCRC(short)
+	if _, err := UnmarshalCheckpoint(short); err == nil {
+		t.Error("truncated mu block accepted")
 	}
 }
 
@@ -571,10 +656,10 @@ func TestRegenCorpus(t *testing.T) {
 	if os.Getenv("EDGECACHE_REGEN_CORPUS") == "" {
 		t.Skip("set EDGECACHE_REGEN_CORPUS=1 to rewrite testdata/fuzz seed files")
 	}
-	valid, err := testCheckpoint().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The committed seeds are version-2 encodings carrying a μ section, so
+	// the replayed corpus keeps exercising the legacy decode path;
+	// FuzzSnapshot's f.Add seeds cover the current version.
+	valid := legacyEncode(t, testCheckpoint(), 2, legacyMu)
 	writeCorpusEntry(t, "FuzzSnapshot", "seed-valid", valid)
 	writeCorpusEntry(t, "FuzzSnapshot", "seed-truncated", valid[:len(valid)-9])
 	writeCorpusEntry(t, "FuzzSnapshot", "seed-bad-magic", append([]byte("NOTACKPT"), valid[8:]...))
@@ -591,7 +676,16 @@ func TestRegenCorpus(t *testing.T) {
 
 	legacy := testCheckpoint()
 	legacy.Engine = EngineGaussSeidel
-	writeCorpusEntry(t, "FuzzSnapshot", "seed-v1-legacy", legacyV1Encode(t, legacy))
+	writeCorpusEntry(t, "FuzzSnapshot", "seed-v1-legacy", legacyEncode(t, legacy, 1, legacyMu))
+
+	minimal := &Checkpoint{
+		Order:     []int{0, 1},
+		Caching:   legacy.Caching,
+		Routing:   legacy.Routing,
+		Aggregate: legacy.Aggregate,
+		PrevCost:  math.Inf(1),
+	}
+	writeCorpusEntry(t, "FuzzSnapshot", "seed-v2-mu", legacyEncode(t, minimal, 2, [][]float64{{0.75, 0}, {}}))
 }
 
 // writeCorpusEntry writes one []byte seed in the `go test fuzz v1` format

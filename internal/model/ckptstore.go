@@ -47,7 +47,8 @@ var (
 )
 
 // NewCheckpointStore opens (creating if needed) a snapshot directory.
-// retain bounds the number of kept snapshots; 0 means the default (5).
+// retain bounds the number of kept snapshots; retain <= 0 means the
+// default (5).
 func NewCheckpointStore(dir string, retain int) (*CheckpointStore, error) {
 	return NewCheckpointStoreFS(dir, retain, OSCheckpointFS{})
 }

@@ -128,7 +128,7 @@ func TestSimCheckpointNonIntrusive(t *testing.T) {
 	}
 
 	store := model.NewMemCheckpointStore(0)
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store, EverySweeps: 1}}
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store}}
 	got, _, err := runProtocol(t, ctx, inst, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestSimResumeEveryBoundaryBitIdentical(t *testing.T) {
 	ctx := testCtx(t)
 
 	store := model.NewMemCheckpointStore(0)
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store, EverySweeps: 1}}
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store}}
 	want, _, err := runProtocol(t, ctx, inst, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestSimStateSyncHandshake(t *testing.T) {
 	ctx := testCtx(t)
 
 	store := model.NewMemCheckpointStore(0)
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store, EverySweeps: 1}}
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store}}
 	if _, _, err := runProtocol(t, ctx, inst, cfg, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSimResumeRejections(t *testing.T) {
 	ctx := testCtx(t)
 
 	store := model.NewMemCheckpointStore(0)
-	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store, EverySweeps: 1}}
+	cfg := BSConfig{Checkpoint: &core.CheckpointConfig{Sink: store}}
 	if _, _, err := runProtocol(t, ctx, inst, cfg, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -440,7 +440,7 @@ func (r *soakRun) diskDrill(ep *Episode) []Violation {
 	sink := &tolerantSink{sink: store}
 
 	cfg := core.DefaultConfig()
-	cfg.Checkpoint = &core.CheckpointConfig{Sink: sink, EverySweeps: 1}
+	cfg.Checkpoint = &core.CheckpointConfig{Sink: sink}
 	coord, err := core.NewCoordinator(ep.Inst, cfg)
 	if err != nil {
 		return []Violation{{"disk-recovery", fmt.Sprintf("coordinator: %v", err)}}
